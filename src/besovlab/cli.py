@@ -5,7 +5,8 @@ Configuration is a flat key=value text file plus ``key=value`` overrides on
 the command line.  Every artifact embeds the effective configuration, the
 library version and the seed, and identical configurations produce
 byte-identical outputs.  Exit codes: 0 success, 1 a non-informative
-certificate entry failed, 2 configuration error.
+certificate entry failed (or a chaining check of ``measure`` failed),
+2 configuration error, 3 internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -27,7 +29,13 @@ from .certify import (
     failures,
     write_certificates,
 )
-from .corpus import build_corpus
+from .corpus import (
+    GAUSSIAN_CORPUS_1D,
+    GAUSSIAN_CORPUS_2D,
+    LEBESGUE_CORPUS_1D,
+    build_corpus,
+    parse_name,
+)
 from .counterexample import (
     CounterexampleSpec,
     build_counterexample,
@@ -50,9 +58,9 @@ from .seminorms import besov_seminorm, v_lower_bound
 
 OUTPUT_DIR_ENV = "BESOVLAB_OUTPUT_DIR"
 
-DEFAULT_CERTIFY_LEBESGUE = ("indicator", "hat", "bump", "weierstrass(0.5)")
-DEFAULT_CERTIFY_GAUSSIAN = ("hermite(1)", "hermite(2)", "hermite(3)")
-DEFAULT_CERTIFY_2D = ("x2d", "xy2d", "xplusysq2d")
+DEFAULT_CERTIFY_LEBESGUE = LEBESGUE_CORPUS_1D
+DEFAULT_CERTIFY_GAUSSIAN = GAUSSIAN_CORPUS_1D[1:4]
+DEFAULT_CERTIFY_2D = GAUSSIAN_CORPUS_2D
 
 
 class ConfigError(Exception):
@@ -221,14 +229,10 @@ def _resolve_corpus(config: RunConfig, names):
             out.append((name, GridFunction(((-8.0, 8.0),),
                                            np.zeros(config.shape1d))))
             continue
+        shape = ((config.shape2d, config.shape2d)
+                 if parse_name(name)[0].endswith("2d") else (config.shape1d,))
         try:
-            if name.startswith(("indicator2d", "hat2d", "bump2d", "x2d",
-                                "xy2d", "xplusysq2d", "hermite2d")):
-                out.append((name, build_corpus(
-                    name, shape=(config.shape2d, config.shape2d))))
-            else:
-                out.append((name, build_corpus(name,
-                                               shape=(config.shape1d,))))
+            out.append((name, build_corpus(name, shape=shape)))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"corpus: {exc}")
     return out
@@ -304,31 +308,24 @@ def run_semigroup(config: RunConfig) -> int:
 
 
 def run_certify(config: RunConfig) -> int:
+    """Certify each function with the suite matching its measure tag and
+    dimension: Lebesgue (1D or 2D), Gaussian 1D, or the 2D projection
+    suite, which runs the first pair only."""
     out = output_dir(config)
-    entries = []
-    lebesgue = (DEFAULT_CERTIFY_LEBESGUE if config.corpus == ("default",)
-                else tuple(n for n in config.corpus
-                           if not n.startswith("hermite")
-                           and not n.endswith("2d")))
-    gaussian = (DEFAULT_CERTIFY_GAUSSIAN if config.corpus == ("default",)
-                else tuple(n for n in config.corpus
-                           if n.startswith("hermite(")))
-    planar = (DEFAULT_CERTIFY_2D if config.corpus == ("default",)
-              else tuple(n for n in config.corpus if n.endswith("2d")))
+    names = _selected(config, DEFAULT_CERTIFY_LEBESGUE
+                      + DEFAULT_CERTIFY_GAUSSIAN + DEFAULT_CERTIFY_2D)
     t_grid = default_t_grid(config.t_points)
-    for name, f in _resolve_corpus(config, lebesgue):
+    entries = []
+    for name, f in _resolve_corpus(config, names):
+        if f.measure == GAUSSIAN and f.dim == 2:
+            p, alpha = config.pairs[0]
+            entries.extend(certify_projection_suite(f, p, alpha, f_name=name))
+            continue
+        suite = (certify_gaussian_suite if f.measure == GAUSSIAN
+                 else certify_lebesgue_suite)
         for p, alpha in config.pairs:
-            entries.extend(certify_lebesgue_suite(
-                f, p, alpha, t_grid=t_grid, f_name=name,
-                budget=config.budget, seed=config.seed))
-    for name, f in _resolve_corpus(config, gaussian):
-        for p, alpha in config.pairs:
-            entries.extend(certify_gaussian_suite(
-                f, p, alpha, t_grid=t_grid, f_name=name,
-                budget=config.budget, seed=config.seed))
-    for name, f in _resolve_corpus(config, planar):
-        p, alpha = config.pairs[0]
-        entries.extend(certify_projection_suite(f, p, alpha, f_name=name))
+            entries.extend(suite(f, p, alpha, t_grid=t_grid, f_name=name,
+                                 budget=config.budget, seed=config.seed))
     write_certificates(entries, out / "certificates.json",
                        config=config.echo())
     bad = failures(entries)
@@ -431,6 +428,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

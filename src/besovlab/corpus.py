@@ -7,12 +7,12 @@ L2(gamma)-normalized Hermite polynomials and low-degree polynomials.
 
 from __future__ import annotations
 
-import math
 import re
 
 import numpy as np
 
-from .grid import GAUSSIAN, LEBESGUE, GridFunction
+from .grid import GAUSSIAN, LEBESGUE, Grid, GridFunction
+from .ou import hermite_matrix
 
 DEFAULT_BOUNDS_1D = ((-8.0, 8.0),)
 DEFAULT_SHAPE_1D = (4097,)
@@ -27,15 +27,6 @@ def indicator_samples(x, a, b, dx):
     """Cell-averaged indicator of [a, b]: exact unit mass on any grid."""
     lo = np.clip(b, x - dx / 2, x + dx / 2) - np.clip(a, x - dx / 2, x + dx / 2)
     return np.maximum(lo, 0.0) / dx
-
-
-def hermite_normalized(n: int, x):
-    """Probabilists' Hermite polynomial with unit L2(gamma) norm."""
-    h_prev = np.zeros_like(x)
-    h = np.ones_like(x)
-    for k in range(n):
-        h, h_prev = x * h - k * h_prev, h
-    return h / math.sqrt(math.factorial(n))
 
 
 def smooth_cutoff(x, radius=7.0):
@@ -53,10 +44,6 @@ def weierstrass_samples(x, alpha, octaves=WEIERSTRASS_OCTAVES):
     for j in range(octaves + 1):
         acc += 2.0 ** (-alpha * j) * np.cos(2.0 ** j * x)
     return smooth_cutoff(x) * acc
-
-
-def _grid_axes(bounds, shape):
-    return tuple(np.linspace(a, b, n) for (a, b), n in zip(bounds, shape))
 
 
 _PARAM = re.compile(r"^([a-z0-9_+\-]+?)\((.*)\)$")
@@ -85,13 +72,14 @@ def build_corpus(name, bounds=None, shape=None) -> GridFunction:
         bounds = DEFAULT_BOUNDS_2D if two_d else DEFAULT_BOUNDS_1D
     if shape is None:
         shape = DEFAULT_SHAPE_2D if two_d else DEFAULT_SHAPE_1D
-    axes = _grid_axes(bounds, shape)
+    grid = Grid(bounds, shape)
+    axes = grid.axes()
 
     if not two_d:
         x = axes[0]
-        dx = (bounds[0][1] - bounds[0][0]) / (shape[0] - 1)
         if base == "indicator":
-            return _checked(GridFunction(bounds, indicator_samples(x, 0.0, 1.0, dx)))
+            return _checked(GridFunction(
+                bounds, indicator_samples(x, 0.0, 1.0, grid.dx[0])))
         if base == "hat":
             return _checked(GridFunction(bounds, np.maximum(0.0, 1.0 - np.abs(x))))
         if base == "bump":
@@ -101,14 +89,13 @@ def build_corpus(name, bounds=None, shape=None) -> GridFunction:
             return _checked(GridFunction(bounds, weierstrass_samples(x, alpha)))
         if base == "hermite":
             n = int(args[0]) if args else 0
-            return GridFunction(bounds, hermite_normalized(n, x), GAUSSIAN)
+            return GridFunction(bounds, hermite_matrix(n, x)[n], GAUSSIAN)
         raise ValueError(f"unknown corpus name {name!r}")
 
     xx, yy = np.meshgrid(*axes, indexing="ij")
     if base == "indicator2d":
-        dxs = [(b - a) / (n - 1) for (a, b), n in zip(bounds, shape)]
-        sx = indicator_samples(axes[0], 0.0, 1.0, dxs[0])
-        sy = indicator_samples(axes[1], 0.0, 1.0, dxs[1])
+        sx = indicator_samples(axes[0], 0.0, 1.0, grid.dx[0])
+        sy = indicator_samples(axes[1], 0.0, 1.0, grid.dx[1])
         return _checked(GridFunction(bounds, np.outer(sx, sy)))
     if base == "bump2d":
         return _checked(GridFunction(bounds, np.exp(-(xx ** 2 + yy ** 2) / 2.0)))
@@ -125,8 +112,8 @@ def build_corpus(name, bounds=None, shape=None) -> GridFunction:
     if base == "hermite2d":
         m = int(args[0]) if args else 0
         n = int(args[1]) if len(args) > 1 else 0
-        hx = hermite_normalized(m, axes[0])
-        hy = hermite_normalized(n, axes[1])
+        hx = hermite_matrix(m, axes[0])[m]
+        hy = hermite_matrix(n, axes[1])[n]
         return GridFunction(bounds, np.outer(hx, hy), GAUSSIAN)
     raise ValueError(f"unknown corpus name {name!r}")
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import zeta
 
-from .grid import LEBESGUE, GridFunction
+from .corpus import smooth_cutoff
+from .grid import LEBESGUE, Direction, GridFunction
+from .seminorms import v_quotient
 
 X_PERIOD = 2.0 * math.pi
 DEFAULT_SHAPE = (513, 513)
@@ -199,8 +201,8 @@ def default_phi_family(f: GridFunction, frequencies=None):
         frequencies = [m for m in (1, 2, 4, 8, 16, 32, 64) if m <= top]
     x, y = f.meshgrid()
     # C-infinity bump in both variables, vanishing at the boundary
-    bump_x = _unit_bump((x - math.pi) / math.pi)
-    bump_y = _unit_bump(2.0 * (y - 0.5))
+    bump_x = smooth_cutoff((x - math.pi) / math.pi, radius=1.0)
+    bump_y = smooth_cutoff(2.0 * (y - 0.5), radius=1.0)
     base = bump_x * bump_y
     family = [("bump", f.with_samples(base))]
     for m in frequencies:
@@ -209,25 +211,6 @@ def default_phi_family(f: GridFunction, frequencies=None):
         family.append((f"bump*cos({m}x)",
                        f.with_samples(base * np.cos(m * x))))
     return family
-
-
-def _unit_bump(u):
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-    return out
-
-
-def directional_quotient(f: GridFunction, phi: GridFunction,
-                         alpha: float) -> float:
-    """|int d_x phi * f| / (||phi||_inf^alpha ||d_x phi||_inf^(1-alpha))."""
-    dphi = np.gradient(phi.samples, phi.dx[0], axis=0, edge_order=2)
-    num = abs(float(np.sum(dphi * f.samples)) * f.cell_volume())
-    den = (np.max(np.abs(phi.samples)) ** alpha
-           * np.max(np.abs(dphi)) ** (1.0 - alpha))
-    if den == 0.0:
-        raise ValueError("phi must be nonzero")
-    return num / den
 
 
 def directional_bound_scan(spec: CounterexampleSpec, n_list, shape=None,
@@ -239,6 +222,7 @@ def directional_bound_scan(spec: CounterexampleSpec, n_list, shape=None,
     while its slices blow up.  Returns a list of
     (N, max_quotient, best_phi_name) rows.
     """
+    x_axis = Direction((1.0, 0.0))
     rows = []
     for n in n_list:
         sub = CounterexampleSpec(spec.alpha, int(n), spec.k_start)
@@ -246,7 +230,8 @@ def directional_bound_scan(spec: CounterexampleSpec, n_list, shape=None,
         family = phi_family or default_phi_family(f)
         best, best_name = 0.0, ""
         for name, phi in family:
-            val = directional_quotient(f, phi, spec.alpha)
+            val = v_quotient(f, phi, 1, spec.alpha,
+                             direction=x_axis).quotient
             if val > best:
                 best, best_name = val, name
         rows.append((int(n), best, best_name))

@@ -8,10 +8,10 @@ the function carries the Gaussian tag.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 LEBESGUE = "lebesgue"
 GAUSSIAN = "gaussian"
@@ -24,43 +24,25 @@ class MeasureMismatchError(ValueError):
     """Operation invoked on a function with the wrong measure tag."""
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Real function sampled on a uniform grid over a box.
+class GridGeometry:
+    """Uniform node grid over a box, shared by grid functions and measures.
 
-    bounds:  ((a1, b1),) in 1D or ((a1, b1), (a2, b2)) in 2D
-    samples: array of shape (n1,) or (n1, n2), row-major
-    measure: "lebesgue" or "gaussian"
+    Subclasses provide ``bounds`` and ``shape`` and call ``_check_geometry``
+    once their arrays are in place.
     """
 
-    bounds: tuple
-    samples: np.ndarray
-    measure: str = LEBESGUE
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
+    def _check_geometry(self):
         bounds = tuple((float(a), float(b)) for a, b in self.bounds)
+        if len(bounds) != len(self.shape):
+            raise ValueError("bounds/shape dimension mismatch")
+        for (a, b), n in zip(bounds, self.shape):
+            if n < 2 or not (np.isfinite(a) and np.isfinite(b) and a < b):
+                raise ValueError("each axis needs n >= 2 and finite a < b")
         object.__setattr__(self, "bounds", bounds)
-        if samples.ndim not in (1, 2):
-            raise ValueError("only 1D and 2D grids are supported")
-        if len(bounds) != samples.ndim:
-            raise ValueError("bounds/samples dimension mismatch")
-        for (a, b), n in zip(bounds, samples.shape):
-            if n < 2 or not b > a:
-                raise ValueError("each axis needs n >= 2 and b > a")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        if self.measure not in (LEBESGUE, GAUSSIAN):
-            raise ValueError(f"unknown measure tag {self.measure!r}")
 
     @property
     def dim(self):
-        return self.samples.ndim
-
-    @property
-    def shape(self):
-        return self.samples.shape
+        return len(self.shape)
 
     @property
     def dx(self):
@@ -79,12 +61,55 @@ class GridFunction:
     def cell_volume(self):
         return float(np.prod(self.dx))
 
+    def same_grid(self, other):
+        return self.bounds == other.bounds and self.shape == other.shape
+
+
+@dataclass(frozen=True)
+class Grid(GridGeometry):
+    """Bare grid geometry: bounds and node counts, no values."""
+
+    bounds: tuple
+    shape: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        self._check_geometry()
+
+
+@dataclass(frozen=True)
+class GridFunction(GridGeometry):
+    """Real function sampled on a uniform grid over a box.
+
+    bounds:  ((a1, b1),) in 1D or ((a1, b1), (a2, b2)) in 2D
+    samples: array of shape (n1,) or (n1, n2), row-major
+    measure: "lebesgue" or "gaussian"
+    """
+
+    bounds: tuple
+    samples: np.ndarray
+    measure: str = LEBESGUE
+
+    def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=float)
+        object.__setattr__(self, "samples", samples)
+        if samples.ndim not in (1, 2):
+            raise ValueError("only 1D and 2D grids are supported")
+        self._check_geometry()
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite")
+        if self.measure not in (LEBESGUE, GAUSSIAN):
+            raise ValueError(f"unknown measure tag {self.measure!r}")
+
+    @property
+    def shape(self):
+        return self.samples.shape
+
     def with_samples(self, samples):
         return GridFunction(self.bounds, samples, self.measure)
 
     def same_grid(self, other):
-        return (self.bounds == other.bounds and self.shape == other.shape
-                and self.measure == other.measure)
+        return super().same_grid(other) and self.measure == other.measure
 
 
 def gaussian_density(f: GridFunction) -> np.ndarray:
@@ -186,16 +211,41 @@ def field_lq_norm(phi: VectorFieldGrid, q) -> float:
     return lp_norm(phi.magnitude(), q)
 
 
-def shift_cap(f: GridFunction) -> float:
+def shift_cap(f: GridGeometry) -> float:
     return SHIFT_CAP_FRACTION * min(b - a for a, b in f.bounds)
+
+
+def shift_axis(values, cells, axis):
+    """Move node values along one axis by a possibly fractional cell count.
+
+    The two-tap linear kernel shared by function and measure shifts: the
+    integer part is an index shift and the remaining fraction is split
+    linearly between the two neighboring nodes.  Values carried past either
+    end of the axis are dropped, so mass is conserved as long as nothing
+    crosses the boundary.
+    """
+    m = math.floor(cells)
+    frac = cells - m
+    out = np.zeros_like(values)
+    n = values.shape[axis]
+    for offset, weight in ((m, 1.0 - frac), (m + 1, frac)):
+        if weight == 0.0 or abs(offset) >= n:
+            continue
+        src = [slice(None)] * values.ndim
+        dst = [slice(None)] * values.ndim
+        src[axis] = slice(max(0, -offset), n - max(0, offset))
+        dst[axis] = slice(max(0, offset), n + min(0, offset))
+        out[tuple(dst)] += weight * values[tuple(src)]
+    return out
 
 
 def shift(f: GridFunction, h) -> GridFunction:
     """f_h(x) = f(x - h) by linear interpolation, zero outside the box.
 
-    Restricted to Lebesgue-tagged functions with |h| below the shift cap so
-    the zero extension cannot silently lose mass of the compactly supported
-    corpus functions.
+    A node whose source point x - h lies outside the box reads 0.  Restricted
+    to Lebesgue-tagged functions with |h| below the shift cap so the zero
+    extension cannot silently lose mass of the compactly supported corpus
+    functions.
     """
     if f.measure != LEBESGUE:
         raise MeasureMismatchError("shift requires the Lebesgue tag")
@@ -204,17 +254,17 @@ def shift(f: GridFunction, h) -> GridFunction:
         raise ValueError("shift vector dimension mismatch")
     if float(np.linalg.norm(h)) > shift_cap(f) * (1.0 + 1e-12):
         raise ValueError("shift exceeds the boundary-error cap")
-    if f.dim == 1:
-        x = f.axes()[0]
-        vals = np.interp(x - h[0], x, f.samples, left=0.0, right=0.0)
-        return f.with_samples(vals)
-    # index coordinates of x - h
-    coords = [(np.arange(n) - hj / dxj) for n, hj, dxj in
-              zip(f.shape, h, f.dx)]
-    grid = np.meshgrid(*coords, indexing="ij")
-    vals = map_coordinates(f.samples, np.array(grid), order=1,
-                           mode="constant", cval=0.0)
-    return f.with_samples(vals)
+    vals = f.samples
+    inside = np.ones(f.shape, dtype=bool)
+    for axis, (hj, dxj, n) in enumerate(zip(h, f.dx, f.shape)):
+        cells = hj / dxj
+        if cells == 0.0:
+            continue
+        vals = shift_axis(vals, cells, axis)
+        src = np.arange(n) - cells
+        keep = (src >= 0.0) & (src <= n - 1)
+        inside &= keep.reshape([n if a == axis else 1 for a in range(f.dim)])
+    return f.with_samples(np.where(inside, vals, 0.0))
 
 
 def partial_derivative(f: GridFunction, axis: int) -> GridFunction:

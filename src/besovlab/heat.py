@@ -110,11 +110,11 @@ def gradient_norm(f: GridFunction, t: float, p) -> float:
     return lp_norm(heat_gradient(f, t).magnitude(), p)
 
 
-def u_functional(f: GridFunction, p, alpha, t_grid=None):
-    """Grid supremum of t^((1-alpha)/2) ||grad P_t f||_p.
+def gradient_supremum(grad_norm, f, p, alpha, t_grid=None):
+    """Grid supremum of t^((1-alpha)/2) grad_norm(f, t, p) over t_grid.
 
-    Returns (value, argmax t, SemigroupCurve); the value is a certified lower
-    bound of the true supremum.
+    The loop shared by the heat and OU functionals.  Returns (value, argmax
+    t, SemigroupCurve).
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -125,7 +125,16 @@ def u_functional(f: GridFunction, p, alpha, t_grid=None):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
-    vals = [t ** ((1.0 - alpha) / 2.0) * gradient_norm(f, t, p) for t in t_grid]
+    vals = [t ** ((1.0 - alpha) / 2.0) * grad_norm(f, t, p) for t in t_grid]
     curve = SemigroupCurve(tuple(zip(t_grid, vals)))
     k = int(np.argmax(vals))
     return vals[k], float(t_grid[k]), curve
+
+
+def u_functional(f: GridFunction, p, alpha, t_grid=None):
+    """Grid supremum of t^((1-alpha)/2) ||grad P_t f||_p.
+
+    Returns (value, argmax t, SemigroupCurve); the value is a certified lower
+    bound of the true supremum.
+    """
+    return gradient_supremum(gradient_norm, f, p, alpha, t_grid)

@@ -15,62 +15,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Direction, GridFunction, quad_weights
+from .grid import (Direction, GridFunction, GridGeometry, quad_weights,
+                   shift_axis)
 
 #: below this many cell widths a shift is dominated by grid artifacts
 FIT_CELL_FLOOR = 4.0
 
 
 @dataclass(frozen=True)
-class GridMeasure:
+class GridMeasure(GridGeometry):
     """Nonnegative weights on the nodes of a rectangular grid."""
 
     bounds: tuple
     weights: np.ndarray
 
     def __post_init__(self):
-        bounds = tuple((float(a), float(b)) for a, b in self.bounds)
         weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != len(bounds):
-            raise ValueError("weights dimension does not match bounds")
-        for (a, b), n in zip(bounds, weights.shape):
-            if not (np.isfinite(a) and np.isfinite(b) and a < b):
-                raise ValueError("bounds must be finite with a < b")
-            if n < 2:
-                raise ValueError("need at least two nodes per axis")
+        object.__setattr__(self, "weights", weights)
+        self._check_geometry()
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
         if np.any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def dim(self):
-        return len(self.bounds)
 
     @property
     def shape(self):
         return self.weights.shape
 
     @property
-    def dx(self):
-        return tuple((b - a) / (n - 1)
-                     for (a, b), n in zip(self.bounds, self.shape))
-
-    @property
     def total(self):
         return float(np.sum(self.weights))
 
-    def axes(self):
-        return tuple(np.linspace(a, b, n)
-                     for (a, b), n in zip(self.bounds, self.shape))
-
     def with_weights(self, weights):
         return GridMeasure(self.bounds, weights)
-
-    def same_grid(self, other):
-        return self.bounds == other.bounds and self.shape == other.shape
 
 
 def measure_from_density(f: GridFunction) -> GridMeasure:
@@ -95,40 +72,6 @@ def tv_distance(mu: GridMeasure, nu: GridMeasure) -> float:
     return float(np.sum(np.abs(mu.weights - nu.weights)))
 
 
-def _shift_axis(weights, cells, axis):
-    """Move mass along one axis by a possibly fractional cell count.
-
-    The integer part is an index shift; the remaining fraction is split
-    linearly between the two neighboring cells, so mass is conserved as
-    long as nothing crosses the boundary.
-    """
-    m = math.floor(cells)
-    frac = cells - m
-    out = np.zeros_like(weights)
-    n = weights.shape[axis]
-
-    def place(offset, mass_fraction):
-        if mass_fraction == 0.0:
-            return
-        src = [slice(None)] * weights.ndim
-        dst = [slice(None)] * weights.ndim
-        if offset >= 0:
-            if offset >= n:
-                return
-            src[axis] = slice(0, n - offset)
-            dst[axis] = slice(offset, n)
-        else:
-            if -offset >= n:
-                return
-            src[axis] = slice(-offset, n)
-            dst[axis] = slice(0, n + offset)
-        out[tuple(dst)] += mass_fraction * weights[tuple(src)]
-
-    place(m, 1.0 - frac)
-    place(m + 1, frac)
-    return out
-
-
 def shift_measure(mu: GridMeasure, h) -> GridMeasure:
     """mu shifted by the vector h, one linear redistribution per axis."""
     h = np.atleast_1d(np.asarray(h, dtype=float))
@@ -138,7 +81,7 @@ def shift_measure(mu: GridMeasure, h) -> GridMeasure:
     for axis in range(mu.dim):
         cells = h[axis] / mu.dx[axis]
         if cells != 0.0:
-            weights = _shift_axis(weights, cells, axis)
+            weights = shift_axis(weights, cells, axis)
     return mu.with_weights(weights)
 
 
@@ -164,11 +107,15 @@ class HolderFit:
             raise ValueError("exponent must be finite")
 
 
+def _fit_floor(mu: GridMeasure, direction: Direction):
+    """FIT_CELL_FLOOR cell widths along the direction."""
+    return FIT_CELL_FLOOR * max(
+        abs(e) * d for e, d in zip(direction.e, mu.dx) if e != 0.0)
+
+
 def default_profile_t_grid(mu: GridMeasure, direction: Direction, num=32,
                            hi=1.0):
-    lo = FIT_CELL_FLOOR * max(
-        abs(e) * d for e, d in zip(direction.e, mu.dx) if e != 0.0)
-    return tuple(np.geomspace(lo, hi, num))
+    return tuple(np.geomspace(_fit_floor(mu, direction), hi, num))
 
 
 def holder_profile(mu: GridMeasure, direction: Direction, t_grid=None):
@@ -182,8 +129,7 @@ def holder_profile(mu: GridMeasure, direction: Direction, t_grid=None):
         raise ValueError("direction dimension does not match the measure")
     if t_grid is None:
         t_grid = default_profile_t_grid(mu, direction)
-    floor = FIT_CELL_FLOOR * max(
-        abs(e) * d for e, d in zip(direction.e, mu.dx) if e != 0.0)
+    floor = _fit_floor(mu, direction)
     curve = []
     for t in t_grid:
         h = tuple(t * e for e in direction.e)

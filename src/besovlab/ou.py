@@ -19,12 +19,13 @@ from scipy.interpolate import make_interp_spline
 
 from .grid import (
     GAUSSIAN,
+    Grid,
     GridFunction,
     MeasureMismatchError,
     VectorFieldGrid,
     lp_norm,
 )
-from .heat import SemigroupCurve, default_t_grid
+from .heat import gradient_supremum
 
 GH_NODES = 128
 SPLINE_DEGREE = 5
@@ -40,6 +41,8 @@ def gauss_hermite(num=GH_NODES):
 
 def hermite_matrix(degree, y):
     """Rows H_0..H_degree of L2(gamma)-orthonormal Hermite polynomials at y."""
+    if degree < 0:
+        raise ValueError("Hermite degree must be nonnegative")
     out = np.empty((degree + 1, y.size))
     out[0] = 1.0
     if degree >= 1:
@@ -129,18 +132,7 @@ def ou_gradient_norm(f: GridFunction, t: float, p) -> float:
 
 def u_gamma_functional(f: GridFunction, p, alpha, t_grid=None):
     """Grid supremum of t^((1-alpha)/2) ||grad T_t f||_p (lower bound)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise ValueError("t_grid must be nonempty")
-    vals = [t ** ((1.0 - alpha) / 2.0) * ou_gradient_norm(f, t, p)
-            for t in t_grid]
-    curve = SemigroupCurve(tuple(zip(t_grid, vals)))
-    k = int(np.argmax(vals))
-    return vals[k], float(t_grid[k]), curve
+    return gradient_supremum(ou_gradient_norm, f, p, alpha, t_grid)
 
 
 def conditional_expectation(f: GridFunction, kept_axis: int) -> GridFunction:
@@ -240,7 +232,7 @@ def hermite_synthesize(c: HermiteCoeffs, bounds=None, shape=None) -> GridFunctio
         bounds = DEFAULT_BOUNDS_1D if c.dim == 1 else DEFAULT_BOUNDS_2D
     if shape is None:
         shape = DEFAULT_SHAPE_1D if c.dim == 1 else DEFAULT_SHAPE_2D
-    axes = [np.linspace(a, b, n) for (a, b), n in zip(bounds, shape)]
+    axes = Grid(bounds, shape).axes()
     if c.dim == 1:
         h = hermite_matrix(c.coeffs.size - 1, axes[0])
         return GridFunction(bounds, c.coeffs @ h, GAUSSIAN)

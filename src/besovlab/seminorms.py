@@ -20,11 +20,10 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.ndimage import gaussian_filter
 
-from .corpus import hermite_normalized, smooth_cutoff
+from .corpus import smooth_cutoff
 from .grid import (
     GAUSSIAN,
     LEBESGUE,
-    SHIFT_CAP_FRACTION,
     Direction,
     GridFunction,
     VectorFieldGrid,
@@ -38,7 +37,9 @@ from .grid import (
     lp_norm,
     save,
     shift,
+    shift_cap,
 )
+from .ou import hermite_matrix
 
 DEFAULT_SHIFT_COUNT = 40
 MOLLIFIER_WIDTH_CELLS = 2.0
@@ -48,7 +49,7 @@ MIN_DIV_NORM = 1e-10
 
 def default_shift_magnitudes(f: GridFunction, num=DEFAULT_SHIFT_COUNT):
     """Log-spaced shift magnitudes between 4 cells and the shift cap."""
-    cap = SHIFT_CAP_FRACTION * min(b - a for a, b in f.bounds)
+    cap = shift_cap(f)
     lo = 4.0 * max(f.dx)
     if lo >= cap:
         raise ValueError("grid too coarse for the default shift range")
@@ -330,8 +331,8 @@ def _random_gaussian_field(f, rng, degree=4, modes=6):
             ns = rng.integers(0, degree + 1, size=f.dim)
             c = rng.normal() / (1.0 + float(np.sum(ns)))
             term = np.ones(f.shape)
-            for n, g in zip(ns, grids):
-                term = term * hermite_normalized(int(n), g)
+            for n, g in zip(ns.tolist(), grids):
+                term = term * hermite_matrix(n, g.ravel())[n].reshape(g.shape)
             acc += c * term
         comps.append(f.with_samples(acc))
     return VectorFieldGrid(tuple(comps))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from besovlab import __version__
+from besovlab import __version__, cli
 from besovlab.cli import (
     ConfigError,
     RunConfig,
@@ -65,6 +65,17 @@ class TestExitCodes:
         assert main(["seminorm", "pairs=2:2.0"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_internal_error_is_3(self, tmp_path, capsys, monkeypatch):
+        def broken_suite(*args, **kwargs):
+            raise RuntimeError("suite exploded")
+
+        monkeypatch.setattr(cli, "certify_lebesgue_suite", broken_suite)
+        code = main(["certify", "corpus=indicator", "pairs=1:1",
+                     f"output_dir={tmp_path}"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "suite exploded" in err
+
     def test_small_certify_passes(self, tmp_path, capsys):
         code = main(["certify", "corpus=indicator", "pairs=1:1",
                      f"output_dir={tmp_path}"])
@@ -119,6 +130,16 @@ class TestArtifacts:
         assert payload["config"]["corpus"] == "indicator"
         names = [e["name"] for e in payload["entries"]]
         assert names == sorted(names)
+
+    def test_certify_routes_lebesgue_2d(self, tmp_path):
+        # 2D Lebesgue names go to the Lebesgue suite, not the projection one
+        assert main(["certify", "corpus=bump2d", "shape2d=97", "pairs=2:0.5",
+                     "t_points=4", f"output_dir={tmp_path}"]) == 0
+        payload = json.loads((tmp_path / "certificates.json").read_text())
+        assert {e["name"] for e in payload["entries"]} == {
+            "heat-small-time-gradient", "heat-smoothing-curve", "u-le-v",
+            "v-le-u", "v-lower-arm", "v-upper-arm"}
+        assert {e["inputs"]["f"] for e in payload["entries"]} == {"bump2d"}
 
     def test_counterexample_artifacts(self, tmp_path):
         assert main(["counterexample", "n_terms=200", "n_list=100,200",
