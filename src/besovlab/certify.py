@@ -337,7 +337,8 @@ def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
                 * (1.0 + eps_u)
         else:
             target = f
-            u1, _, _ = u_gamma_functional(f, 1, alpha, u_grid)
+            u1 = (u_val if p == 1
+                  else u_gamma_functional(f, 1, alpha, u_grid)[0])
             v_up_hll = (4.0 * cp_closed_form(1.0) / alpha + 1.0) * u1 \
                 * (1.0 + eps_u)
         k_norm = kantorovich_norm_1d(target)

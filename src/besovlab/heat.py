@@ -58,7 +58,7 @@ def _kernel_offsets(t, dx, n):
 def _check_heat_args(f, t):
     if f.measure != LEBESGUE:
         raise MeasureMismatchError("heat semigroup requires the Lebesgue tag")
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -54,6 +56,8 @@ class TestHeatApply:
         f = bump(257)
         with pytest.raises(ValueError):
             heat_apply(f, 0.0)
+        with pytest.raises(ValueError, match="t must be positive"):
+            heat_apply(f, math.nan)
         with pytest.raises(MeasureMismatchError):
             heat_apply(build_corpus("hermite(1)"), 1.0)
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import make_interp_spline
 from scipy.optimize import minimize_scalar
 
 from besovlab.corpus import build_corpus
@@ -13,6 +16,8 @@ from besovlab.grid import (
     quad_weights,
 )
 from besovlab.ou import (
+    GH_NODES,
+    GH_PRUNE_WEIGHT,
     GaussianConstants,
     HermiteCoeffs,
     abs_moment,
@@ -22,6 +27,7 @@ from besovlab.ou import (
     cp_closed_form,
     cp_quadrature,
     ct_quadrature,
+    gauss_hermite,
     heat_upper_constant,
     hermite_matrix,
     hermite_synthesize,
@@ -31,6 +37,7 @@ from besovlab.ou import (
     ou_gradient,
     sobolev_h_norm,
     u_gamma_functional,
+    _ou_axis_average,
 )
 
 WIDE_BOUNDS = ((-16.0, 16.0),)
@@ -84,6 +91,10 @@ class TestOuApply:
         f = build_corpus("hermite(1)")
         with pytest.raises(ValueError):
             ou_apply(f, 0.0)
+        with pytest.raises(ValueError):
+            ou_apply(f, math.nan)
+        with pytest.raises(ValueError):
+            ou_gradient(f, math.nan)
         with pytest.raises(MeasureMismatchError):
             ou_apply(build_corpus("bump"), 1.0)
 
@@ -105,6 +116,81 @@ class TestOuApply:
         mask = (np.abs(xx) <= 4.0) & (np.abs(yy) <= 4.0)
         expect = (math.exp(-t) * xx + math.exp(-2 * t) * (yy ** 2 - 1) + 1.0)[mask]
         assert np.max(np.abs(g.samples[mask] - expect)) <= 1e-7 * np.max(np.abs(expect))
+
+
+def test_pruned_gauss_hermite_nodes():
+    y, w = gauss_hermite()
+    u, full = np.polynomial.hermite.hermgauss(GH_NODES)
+    full = full / math.sqrt(math.pi)
+    dropped = full < GH_PRUNE_WEIGHT * np.max(full)
+    assert y.size == GH_NODES - np.count_nonzero(dropped) == 68
+    assert abs(np.sum(w) - 1.0) <= 1e-15
+    assert np.sum(full[dropped]) <= 2e-22  # documented: 1.6e-22
+    assert np.min(np.abs(math.sqrt(2.0) * u[dropped])) >= 9.88
+    assert abs(np.sum(w * y * y) - 1.0) <= 1e-14
+    assert gauss_hermite()[1] is w and not w.flags.writeable
+
+
+def per_node_average(f, axis, t):
+    """Reference: plain and y-weighted averages node by node, all nodes."""
+    u, w = np.polynomial.hermite.hermgauss(GH_NODES)
+    y, w = math.sqrt(2.0) * u, w / math.sqrt(math.pi)
+    x = f.axes()[axis]
+    a, b = f.bounds[axis]
+    spline = make_interp_spline(x, f.samples, k=5, axis=axis)
+    plain, weighted = np.zeros(f.shape), np.zeros(f.shape)
+    for yk, wk in zip(y, w):
+        pts = math.exp(-t) * x + math.sqrt(1.0 - math.exp(-2.0 * t)) * yk
+        inside = (pts >= a) & (pts <= b)
+        vals = spline(np.clip(pts, a, b))
+        mask = inside.reshape([-1 if i == axis else 1 for i in range(f.dim)])
+        vals = np.where(mask, vals, 0.0)
+        plain += wk * vals
+        weighted += wk * yk * vals
+    return plain, weighted
+
+
+@pytest.mark.parametrize("shape, axis", [((257,), 0), ((33, 41), 0),
+                                         ((33, 41), 1)])
+@pytest.mark.parametrize("t", [1e-3, 0.3, 4.0])
+def test_axis_average_matches_per_node_loop(shape, axis, t):
+    # summation order differs, so agreement is to round-off of a
+    # 128-term sum, relative to max |f|
+    rng = np.random.default_rng(7)
+    bounds = ((-8.0, 8.0), (-6.0, 7.0))[:len(shape)]
+    f = GridFunction(bounds, rng.standard_normal(shape), GAUSSIAN)
+    got = _ou_axis_average(f, axis, t)
+    for g, ref in zip(got, per_node_average(f, axis, t)):
+        assert g.shape == f.shape
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(f.samples))
+
+
+hermite_coeffs = st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                          min_size=5, max_size=5)
+times = st.floats(min_value=0.05, max_value=1.0)
+
+
+def hermite_combination(coeffs):
+    x = np.linspace(-8.0, 8.0, 1025)
+    samples = np.asarray(coeffs) @ hermite_matrix(4, x)
+    return GridFunction(((-8.0, 8.0),), samples, GAUSSIAN)
+
+
+@given(coeffs=hermite_coeffs, s=times, t=times)
+@settings(max_examples=25, deadline=None)
+def test_ou_semigroup_law(coeffs, s, t):
+    f = hermite_combination(coeffs)
+    mask = interior_mask(f)
+    twice = ou_apply(ou_apply(f, t), s).samples[mask]
+    once = ou_apply(f, s + t).samples[mask]
+    assert np.max(np.abs(twice - once)) <= 1e-8
+
+
+@given(coeffs=hermite_coeffs, t=times)
+@settings(max_examples=25, deadline=None)
+def test_ou_l2_contraction(coeffs, t):
+    f = hermite_combination(coeffs)
+    assert lp_norm(ou_apply(f, t), 2) <= lp_norm(f, 2) * (1 + 1e-10)
 
 
 class TestSpectralAgreement:
@@ -142,6 +228,23 @@ class TestOuGradient:
         b = directional_derivative(ou_apply(f, t), Direction((1.0,)))
         mask = interior_mask(f)
         assert np.max(np.abs(a.samples[mask] - b.samples[mask])) <= 10 * f.dx[0] ** 2
+
+    @pytest.mark.parametrize("name, grad", [
+        # grad T_t (x y) = e^{-2t} (y, x)
+        ("xy2d", lambda t, x, y: (math.exp(-2 * t) * y,
+                                  math.exp(-2 * t) * x)),
+        # grad T_t (x + y^2) = (e^{-t}, 2 e^{-2t} y); swapped components fail
+        ("xplusysq2d", lambda t, x, y: (math.exp(-t) + 0.0 * x,
+                                        2.0 * math.exp(-2 * t) * y)),
+    ])
+    def test_2d_closed_form(self, name, grad):
+        t = 0.6
+        f = build_corpus(name, shape=(129, 129))
+        xx, yy = f.meshgrid()
+        mask = (np.abs(xx) <= 4.0) & (np.abs(yy) <= 4.0)
+        comps = ou_gradient(f, t).components
+        for comp, expect in zip(comps, grad(t, xx, yy), strict=True):
+            assert np.max(np.abs(comp.samples[mask] - expect[mask])) <= 1e-8
 
     def test_hermite2_gradient(self):
         # grad T_t H2 = e^{-2t} sqrt(2) x
