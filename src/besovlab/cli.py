@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 from dataclasses import dataclass, fields, replace
@@ -58,10 +59,6 @@ from .seminorms import besov_seminorm, v_lower_bound
 
 OUTPUT_DIR_ENV = "BESOVLAB_OUTPUT_DIR"
 
-DEFAULT_CERTIFY_LEBESGUE = LEBESGUE_CORPUS_1D
-DEFAULT_CERTIFY_GAUSSIAN = GAUSSIAN_CORPUS_1D[1:4]
-DEFAULT_CERTIFY_2D = GAUSSIAN_CORPUS_2D
-
 
 class ConfigError(Exception):
     pass
@@ -69,7 +66,11 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings shared by all subcommands."""
+    """Validated settings shared by all subcommands.
+
+    The fields are the configuration keys; a scalar parses with the type of
+    its default, a list field item by item through ``_LIST_ITEMS``.
+    """
 
     corpus: tuple = ("default",)
     pairs: tuple = ((1.0, 1.0), (2.0, 0.5))
@@ -86,70 +87,48 @@ class RunConfig:
     depth: int = 5
 
     def echo(self):
-        return {
-            "corpus": ",".join(self.corpus),
-            "pairs": ",".join(f"{p:g}:{a:g}" for p, a in self.pairs),
-            "shape1d": self.shape1d,
-            "shape2d": self.shape2d,
-            "t_points": self.t_points,
-            "budget": self.budget,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "alpha": self.alpha,
-            "n_terms": self.n_terms,
-            "n_list": ",".join(str(n) for n in self.n_list),
-            "beta_list": ",".join(f"{b:g}" for b in self.beta_list),
-            "depth": self.depth,
-            "library_version": __version__,
-        }
+        """Every field as it would be written in an override (list fields
+        joined by commas), plus the library version; reading the items back
+        with ``load_config`` gives this configuration again."""
+        out = {}
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if fld.name in _LIST_ITEMS:
+                value = ",".join(map(_LIST_ITEMS[fld.name][1], value))
+            out[fld.name] = value
+        out["library_version"] = __version__
+        return out
 
 
-def _parse_pairs(text):
-    pairs = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            p_text, a_text = token.split(":")
-            pairs.append((float(p_text), float(a_text)))
-        except ValueError:
-            raise ConfigError(f"pairs: cannot parse '{token}', "
-                              "expected p:alpha")
-    if not pairs:
-        raise ConfigError("pairs: empty list")
-    return tuple(pairs)
+def _real(x):
+    """Text of a real: ``:g`` when that reads back exactly, else repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
 
 
-def _parse_int_list(text, field):
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"{field}: expected comma-separated integers")
+def _pair(text):
+    p, alpha = text.split(":")
+    return float(p), float(alpha)
 
 
-def _parse_float_list(text, field):
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"{field}: expected comma-separated reals")
-
-
-_PARSERS = {
-    "corpus": lambda v: tuple(t.strip() for t in v.split(",") if t.strip()),
-    "pairs": _parse_pairs,
-    "shape1d": lambda v: int(v),
-    "shape2d": lambda v: int(v),
-    "t_points": lambda v: int(v),
-    "budget": lambda v: int(v),
-    "seed": lambda v: int(v),
-    "output_dir": lambda v: v,
-    "alpha": lambda v: float(v),
-    "n_terms": lambda v: int(v),
-    "n_list": lambda v: _parse_int_list(v, "n_list"),
-    "beta_list": lambda v: _parse_float_list(v, "beta_list"),
-    "depth": lambda v: int(v),
+#: parser and formatter of one item of each list field
+_LIST_ITEMS = {
+    "corpus": (str, str),
+    "pairs": (_pair, lambda pair: ":".join(map(_real, pair))),
+    "n_list": (int, str),
+    "beta_list": (float, _real),
 }
+
+#: list items are separated by commas outside parentheses: hermite2d(1,2)
+_ITEM_SEPARATOR = re.compile(r",(?![^(]*\))")
+
+
+def _parse(fld, raw):
+    if fld.name not in _LIST_ITEMS:
+        return type(fld.default)(raw)
+    parse_item = _LIST_ITEMS[fld.name][0]
+    return tuple(parse_item(tok.strip())
+                 for tok in _ITEM_SEPARATOR.split(raw) if tok.strip())
 
 
 def load_config(config_path=None, overrides=()):
@@ -173,14 +152,13 @@ def load_config(config_path=None, overrides=()):
         key, value = item.split("=", 1)
         settings[key.strip()] = value.strip()
 
+    known = {fld.name: fld for fld in fields(RunConfig)}
     config = RunConfig()
     for key, raw in settings.items():
-        if key not in _PARSERS:
+        if key not in known:
             raise ConfigError(f"unknown configuration field '{key}'")
         try:
-            config = replace(config, **{key: _PARSERS[key](raw)})
-        except ConfigError:
-            raise
+            config = replace(config, **{key: _parse(known[key], raw)})
         except (TypeError, ValueError):
             raise ConfigError(f"{key}: cannot parse value '{raw}'")
     validate(config)
@@ -188,8 +166,11 @@ def load_config(config_path=None, overrides=()):
 
 
 def validate(config: RunConfig):
+    for name in _LIST_ITEMS:
+        if not getattr(config, name):
+            raise ConfigError(f"{name}: empty list")
     for p, a in config.pairs:
-        if p < 1.0:
+        if not p >= 1.0:
             raise ConfigError(f"pairs: p = {p:g} must be >= 1")
         if not 0.0 < a <= 1.0:
             raise ConfigError(f"pairs: alpha = {a:g} must lie in (0, 1]")
@@ -218,17 +199,12 @@ def output_dir(config: RunConfig) -> Path:
     return path
 
 
-def _selected(config: RunConfig, default_names):
-    return default_names if config.corpus == ("default",) else config.corpus
-
-
-def _resolve_corpus(config: RunConfig, names):
+def _resolve_corpus(config: RunConfig, default_names):
+    """(name, function) pairs of the configured corpus; the corpus
+    "default" stands for default_names."""
+    names = default_names if config.corpus == ("default",) else config.corpus
     out = []
     for name in names:
-        if name == "zero":
-            out.append((name, GridFunction(((-8.0, 8.0),),
-                                           np.zeros(config.shape1d))))
-            continue
         shape = ((config.shape2d, config.shape2d)
                  if parse_name(name)[0].endswith("2d") else (config.shape1d,))
         try:
@@ -238,11 +214,14 @@ def _resolve_corpus(config: RunConfig, names):
     return out
 
 
-def _write_manifest(path: Path, config: RunConfig, extra=None):
-    payload = {"config": config.echo()}
-    if extra:
-        payload.update(extra)
+def _write_manifest(path: Path, config: RunConfig, extra):
+    payload = {"config": config.echo(), **extra}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _stem(name):
+    """File-name stem of a corpus name: hermite(2) -> hermite_2."""
+    return name.replace("(", "_").replace(")", "").replace(".", "p")
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +231,10 @@ def _write_manifest(path: Path, config: RunConfig, extra=None):
 def run_corpus(config: RunConfig) -> int:
     out = output_dir(config)
     names = []
-    default_names = DEFAULT_CERTIFY_LEBESGUE + DEFAULT_CERTIFY_GAUSSIAN
-    for name, f in _resolve_corpus(config, _selected(config, default_names)):
-        stem = name.replace("(", "_").replace(")", "").replace(".", "p")
-        to_csv(f, out / f"{stem}.csv")
-        names.append(stem)
+    default_names = LEBESGUE_CORPUS_1D + GAUSSIAN_CORPUS_1D[1:4]
+    for name, f in _resolve_corpus(config, default_names):
+        to_csv(f, out / f"{_stem(name)}.csv")
+        names.append(_stem(name))
     _write_manifest(out / "corpus_manifest.json", config, {"files": names})
     return 0
 
@@ -264,8 +242,7 @@ def run_corpus(config: RunConfig) -> int:
 def run_seminorm(config: RunConfig) -> int:
     out = output_dir(config)
     rows = []
-    for name, f in _resolve_corpus(
-            config, _selected(config, DEFAULT_CERTIFY_LEBESGUE)):
+    for name, f in _resolve_corpus(config, LEBESGUE_CORPUS_1D):
         for p, alpha in config.pairs:
             est = besov_seminorm(f, p, alpha)
             row = {"function": name, "p": p, "alpha": alpha,
@@ -276,9 +253,7 @@ def run_seminorm(config: RunConfig) -> int:
                                         seed=config.seed)
                 row["v_witness_quotient"] = witness.quotient
             rows.append(row)
-    payload = {"config": config.echo(), "results": rows}
-    (out / "seminorms.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_manifest(out / "seminorms.json", config, {"results": rows})
     return 0
 
 
@@ -286,9 +261,8 @@ def run_semigroup(config: RunConfig) -> int:
     out = output_dir(config)
     t_grid = default_t_grid(config.t_points)
     summary = []
-    default_names = DEFAULT_CERTIFY_LEBESGUE + DEFAULT_CERTIFY_GAUSSIAN
-    for name, f in _resolve_corpus(config, _selected(config, default_names)):
-        stem = name.replace("(", "_").replace(")", "").replace(".", "p")
+    default_names = LEBESGUE_CORPUS_1D + GAUSSIAN_CORPUS_1D[1:4]
+    for name, f in _resolve_corpus(config, default_names):
         for p, alpha in config.pairs:
             if f.measure == GAUSSIAN:
                 value, t_star, curve = u_gamma_functional(f, p, alpha,
@@ -297,7 +271,7 @@ def run_semigroup(config: RunConfig) -> int:
             else:
                 value, t_star, curve = u_functional(f, p, alpha, t_grid)
                 kind = "heat"
-            path = out / f"{stem}_{kind}_p{p:g}_a{alpha:g}.csv"
+            path = out / f"{_stem(name)}_{kind}_p{p:g}_a{alpha:g}.csv"
             curve.to_csv(path)
             summary.append({"function": name, "kind": kind, "p": p,
                             "alpha": alpha, "value": value,
@@ -310,13 +284,18 @@ def run_semigroup(config: RunConfig) -> int:
 def run_certify(config: RunConfig) -> int:
     """Certify each function with the suite matching its measure tag and
     dimension: Lebesgue (1D or 2D), Gaussian 1D, or the 2D projection
-    suite, which runs the first pair only."""
+    suite, which runs the first pair only.  The discretization slack
+    coarsens each grid by two, so both point counts must be odd."""
+    for name in ("shape1d", "shape2d"):
+        if getattr(config, name) % 2 == 0:
+            raise ConfigError(f"{name}: certify needs an odd point count, "
+                              f"got {getattr(config, name)}")
     out = output_dir(config)
-    names = _selected(config, DEFAULT_CERTIFY_LEBESGUE
-                      + DEFAULT_CERTIFY_GAUSSIAN + DEFAULT_CERTIFY_2D)
+    default_names = (LEBESGUE_CORPUS_1D + GAUSSIAN_CORPUS_1D[1:4]
+                     + GAUSSIAN_CORPUS_2D)
     t_grid = default_t_grid(config.t_points)
     entries = []
-    for name, f in _resolve_corpus(config, names):
+    for name, f in _resolve_corpus(config, default_names):
         if f.measure == GAUSSIAN and f.dim == 2:
             p, alpha = config.pairs[0]
             entries.extend(certify_projection_suite(f, p, alpha, f_name=name))
@@ -380,16 +359,13 @@ def run_measure(config: RunConfig) -> int:
         report = chaining_check(sub, beta, config.depth, seed=config.seed)
         reports[f"beta={beta:g}"] = json.loads(
             chaining_report_json(report))
-    payload = {
-        "config": config.echo(),
+    _write_manifest(out / "measure_report.json", config, {
         "holder_fit": {"exponent": fit.exponent, "constant": fit.constant,
                        "t_range": list(fit.t_range),
                        "residual": fit.residual},
         "tv_self": tv_distance(mu, mu),
         "chaining": reports,
-    }
-    (out / "measure_report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
     all_pass = all(r["pass"] for r in reports.values())
     return 0 if all_pass else 1
 

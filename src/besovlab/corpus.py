@@ -61,7 +61,7 @@ def parse_name(name):
 def build_corpus(name, bounds=None, shape=None) -> GridFunction:
     """Build a corpus function by name on the given (or default) grid.
 
-    1D Lebesgue: indicator, hat, bump, weierstrass(alpha)
+    1D Lebesgue: zero, indicator, hat, bump, weierstrass(alpha)
     1D Gaussian: hermite(n)
     2D Lebesgue: indicator2d, bump2d, hat2d
     2D Gaussian: x2d, xy2d, xplusysq2d, hermite2d(m, n)
@@ -77,6 +77,8 @@ def build_corpus(name, bounds=None, shape=None) -> GridFunction:
 
     if not two_d:
         x = axes[0]
+        if base == "zero":
+            return GridFunction(bounds, np.zeros_like(x))
         if base == "indicator":
             return _checked(GridFunction(
                 bounds, indicator_samples(x, 0.0, 1.0, grid.dx[0])))

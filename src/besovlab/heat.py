@@ -105,13 +105,9 @@ def heat_gradient(f: GridFunction, t: float) -> VectorFieldGrid:
     return VectorFieldGrid(tuple(comps))
 
 
-def gradient_norm(f: GridFunction, t: float, p) -> float:
-    """||grad P_t f||_p with the pointwise Euclidean field magnitude."""
-    return lp_norm(heat_gradient(f, t).magnitude(), p)
-
-
-def gradient_supremum(grad_norm, f, p, alpha, t_grid=None):
-    """Grid supremum of t^((1-alpha)/2) grad_norm(f, t, p) over t_grid.
+def gradient_supremum(grad, f, p, alpha, t_grid=None):
+    """Grid supremum of t^((1-alpha)/2) ||grad(f, t)||_p over t_grid, with
+    the pointwise Euclidean magnitude of the gradient field.
 
     The loop shared by the heat and OU functionals.  Returns (value, argmax
     t, SemigroupCurve).
@@ -125,7 +121,8 @@ def gradient_supremum(grad_norm, f, p, alpha, t_grid=None):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
-    vals = [t ** ((1.0 - alpha) / 2.0) * grad_norm(f, t, p) for t in t_grid]
+    vals = [t ** ((1.0 - alpha) / 2.0) * lp_norm(grad(f, t).magnitude(), p)
+            for t in t_grid]
     curve = SemigroupCurve(tuple(zip(t_grid, vals)))
     k = int(np.argmax(vals))
     return vals[k], float(t_grid[k]), curve
@@ -137,4 +134,4 @@ def u_functional(f: GridFunction, p, alpha, t_grid=None):
     Returns (value, argmax t, SemigroupCurve); the value is a certified lower
     bound of the true supremum.
     """
-    return gradient_supremum(gradient_norm, f, p, alpha, t_grid)
+    return gradient_supremum(heat_gradient, f, p, alpha, t_grid)

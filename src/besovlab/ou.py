@@ -148,13 +148,9 @@ def ou_field(phi: VectorFieldGrid, t: float) -> VectorFieldGrid:
     return VectorFieldGrid(tuple(ou_apply(c, t) for c in phi.components))
 
 
-def ou_gradient_norm(f: GridFunction, t: float, p) -> float:
-    return lp_norm(ou_gradient(f, t).magnitude(), p)
-
-
 def u_gamma_functional(f: GridFunction, p, alpha, t_grid=None):
     """Grid supremum of t^((1-alpha)/2) ||grad T_t f||_p (lower bound)."""
-    return gradient_supremum(ou_gradient_norm, f, p, alpha, t_grid)
+    return gradient_supremum(ou_gradient, f, p, alpha, t_grid)
 
 
 def conditional_expectation(f: GridFunction, kept_axis: int) -> GridFunction:
@@ -265,12 +261,6 @@ def ou_apply_spectral(c: HermiteCoeffs, t: float) -> HermiteCoeffs:
     if t < 0:
         raise ValueError("t must be nonnegative")
     return HermiteCoeffs(c.coeffs * np.exp(-t * c.total_degree()),
-                         tail_energy=c.tail_energy)
-
-
-def bessel_potential(c: HermiteCoeffs, alpha: float) -> HermiteCoeffs:
-    """Multiplier (1 + |n|)^(-alpha/2) on Hermite coefficients."""
-    return HermiteCoeffs(c.coeffs * (1.0 + c.total_degree()) ** (-alpha / 2.0),
                          tail_energy=c.tail_energy)
 
 

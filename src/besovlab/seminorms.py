@@ -12,7 +12,6 @@ be re-evaluated exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ from .grid import (
     gaussian_density,
     inner,
     lp_norm,
-    save,
     shift,
     shift_cap,
 )
@@ -89,10 +87,6 @@ def shift_quotient(f: GridFunction, h, p, alpha) -> float:
         raise ValueError("shift must be nonzero")
     d = f.with_samples(shift(f, h).samples - f.samples)
     return mag ** (-alpha) * lp_norm(d, p)
-
-
-def besov_recompute(f: GridFunction, est: BesovEstimate) -> float:
-    return shift_quotient(f, est.witness_h, est.p, est.alpha)
 
 
 def _estimate(f, p, alpha, shifts, kind):
@@ -183,19 +177,6 @@ class QuotientWitness:
                                    * self.norm_div ** (1.0 - self.alpha))
         if abs(self.quotient - expect) > 1e-12 * max(1.0, abs(expect)):
             raise ValueError("quotient does not match its factorization")
-
-    def summary(self):
-        return {
-            "quotient": self.quotient,
-            "numerator": self.numerator,
-            "norm_field": self.norm_field,
-            "norm_div": self.norm_div,
-            "p": self.p,
-            "alpha": self.alpha,
-            "construction": self.construction,
-            "direction": list(self.direction),
-            "seed": self.seed,
-        }
 
 
 def v_quotient(f: GridFunction, test, p, alpha,
@@ -405,23 +386,6 @@ def v_lower_bound(f: GridFunction, p, alpha, budget=2, seed=20240
     if best is None:
         raise RuntimeError("no admissible witness found")
     return best
-
-
-def save_witness(w: QuotientWitness, prefix):
-    """Serialize a witness: component containers plus a JSON summary."""
-    prefix = str(prefix)
-    comps = (w.field.components if isinstance(w.field, VectorFieldGrid)
-             else (w.field,))
-    paths = []
-    for i, c in enumerate(comps):
-        path = f"{prefix}_component{i}.npz"
-        save(c, path)
-        paths.append(path)
-    summary = w.summary()
-    summary["components"] = paths
-    with open(f"{prefix}_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,48 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import besovlab
 from besovlab import __version__, cli
+from besovlab.certify import certify_projection_suite
 from besovlab.cli import (
     ConfigError,
     RunConfig,
     load_config,
     main,
     validate,
+)
+from besovlab.corpus import build_corpus
+
+_unit = st.floats(0.0, 1.0, exclude_min=True)
+
+#: configurations that pass validate, with list items that need more than
+#: six significant digits and corpus names with commas inside parentheses
+valid_configs = st.builds(
+    RunConfig,
+    corpus=st.lists(st.sampled_from(["hat", "zero", "weierstrass(0.3)",
+                                     "hermite(2)", "hermite2d(1,2)"]),
+                    min_size=1, max_size=4).map(tuple),
+    pairs=st.lists(st.tuples(st.floats(1.0, 1e6), _unit),
+                   min_size=1, max_size=3).map(tuple),
+    shape1d=st.integers(9, 10 ** 6),
+    shape2d=st.integers(9, 10 ** 4),
+    t_points=st.integers(2, 1000),
+    budget=st.integers(0, 100),
+    seed=st.integers(0, 2 ** 63),
+    output_dir=st.text("abc_-./0123456789", min_size=1, max_size=12),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    n_terms=st.integers(2, 10 ** 6),
+    n_list=st.lists(st.integers(1, 10 ** 6), min_size=1,
+                    max_size=4).map(tuple),
+    beta_list=st.lists(_unit, min_size=1, max_size=3).map(tuple),
+    depth=st.integers(1, 50),
 )
 
 
@@ -54,6 +88,21 @@ class TestConfigParsing:
         echo = RunConfig().echo()
         assert echo["library_version"] == __version__
         assert echo["seed"] == 20240
+        assert echo["pairs"] == "1:1,2:0.5"
+        assert echo["beta_list"] == "0.25,0.4"
+        assert echo["n_list"] == "100,1000"
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs)
+    def test_echo_round_trips(self, config):
+        validate(config)
+        items = [f"{key}={value}" for key, value in config.echo().items()
+                 if key != "library_version"]
+        assert load_config(overrides=items) == config
+
+    def test_list_split_outside_parentheses(self):
+        config = load_config(overrides=["corpus=hat, hermite2d(1, 2) ,bump"])
+        assert config.corpus == ("hat", "hermite2d(1, 2)", "bump")
 
 
 class TestExitCodes:
@@ -64,6 +113,19 @@ class TestExitCodes:
     def test_invalid_pair_is_2(self, capsys):
         assert main(["seminorm", "pairs=2:2.0"]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["seminorm", "pairs=nan:0.5"], "pairs"),
+        (["certify", "pairs=nan:0.5"], "pairs"),
+        (["certify", "corpus="], "corpus"),
+        (["measure", "beta_list="], "beta_list"),
+        (["certify", "shape1d=1024"], "shape1d"),
+        (["certify", "shape2d=64"], "shape2d"),
+    ])
+    def test_config_hole_is_2(self, argv, field, tmp_path, capsys):
+        assert main(argv + [f"output_dir={tmp_path}"]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (tmp_path / "certificates.json").exists()
 
     def test_internal_error_is_3(self, tmp_path, capsys, monkeypatch):
         def broken_suite(*args, **kwargs):
@@ -140,6 +202,34 @@ class TestArtifacts:
             "heat-small-time-gradient", "heat-smoothing-curve", "u-le-v",
             "v-le-u", "v-lower-arm", "v-upper-arm"}
         assert {e["inputs"]["f"] for e in payload["entries"]} == {"bump2d"}
+
+    def test_certify_hermite2d_with_two_arguments(self, tmp_path):
+        assert main(["certify", "corpus=hermite2d(1,2)", "shape2d=33",
+                     "t_points=4", f"output_dir={tmp_path}"]) == 0
+        payload = json.loads((tmp_path / "certificates.json").read_text())
+        direct = certify_projection_suite(
+            build_corpus("hermite2d(1,2)", shape=(33, 33)), 1.0, 1.0,
+            f_name="hermite2d(1,2)")
+        assert len(payload["entries"]) == len(direct) == 3
+        assert sorted(e["name"] for e in payload["entries"]) == \
+            sorted(e.name for e in direct)
+        assert {e["inputs"]["f"] for e in payload["entries"]} == {
+            "hermite2d(1,2)"}
+
+    def test_certify_bytes_independent_of_hash_seed(self, tmp_path):
+        # two processes with different string hashing write the same bytes
+        src = str(Path(besovlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        texts = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / hash_seed
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path,
+                       BESOVLAB_OUTPUT_DIR=str(out))
+            subprocess.run([sys.executable, "-m", "besovlab.cli", "certify",
+                            "shape1d=1025", "shape2d=33", "t_points=4"],
+                           env=env, check=True, capture_output=True)
+            texts.append((out / "certificates.json").read_bytes())
+        assert texts[0] == texts[1]
 
     def test_counterexample_artifacts(self, tmp_path):
         assert main(["counterexample", "n_terms=200", "n_list=100,200",

@@ -21,7 +21,6 @@ from besovlab.ou import (
     GaussianConstants,
     HermiteCoeffs,
     abs_moment,
-    bessel_potential,
     conditional_expectation,
     constants,
     cp_closed_form,
@@ -377,14 +376,6 @@ class TestSpectralOperators:
         c = HermiteCoeffs(np.eye(3))
         out = ou_apply_spectral(c, 1.0)
         assert out.coeffs[1, 1] == pytest.approx(math.exp(-2.0))
-
-    def test_bessel_identity_at_alpha_zero(self):
-        c = HermiteCoeffs(np.arange(4, dtype=float))
-        assert np.array_equal(bessel_potential(c, 0.0).coeffs, c.coeffs)
-
-    def test_bessel_single_mode(self):
-        c = HermiteCoeffs(np.array([0.0, 1.0]))
-        assert bessel_potential(c, 2.0).coeffs[1] == pytest.approx(0.5)
 
     def test_sobolev_norm_single_mode(self):
         for n in range(5):
