@@ -30,6 +30,7 @@ from .seminorms import (  # noqa: F401
     directional_seminorm,
     kantorovich_norm_1d,
     psi_witness,
+    semigroup_witness,
     v_lower_bound,
     v_quotient,
 )

@@ -77,7 +77,6 @@ class RunConfig:
     shape1d: int = 4097
     shape2d: int = 257
     t_points: int = 16
-    budget: int = 1
     seed: int = 20240
     output_dir: str = "out"
     alpha: float = 0.5
@@ -180,8 +179,6 @@ def validate(config: RunConfig):
             raise ConfigError(f"{name}: {value} is too small")
     if config.t_points < 2:
         raise ConfigError(f"t_points: {config.t_points} must be >= 2")
-    if config.budget < 0:
-        raise ConfigError(f"budget: {config.budget} must be >= 0")
     if not 0.0 < config.alpha < 1.0:
         raise ConfigError(f"alpha: {config.alpha:g} must lie in (0, 1)")
     if config.n_terms < 2:
@@ -249,8 +246,7 @@ def run_seminorm(config: RunConfig) -> int:
                    "value": est.value, "witness_h": list(est.witness_h),
                    "cap_limited": est.cap_limited}
             if est.value > 0.0 and f.measure == LEBESGUE:
-                witness = v_lower_bound(f, p, alpha, budget=config.budget,
-                                        seed=config.seed)
+                witness = v_lower_bound(f, p, alpha)
                 row["v_witness_quotient"] = witness.quotient
             rows.append(row)
     _write_manifest(out / "seminorms.json", config, {"results": rows})
@@ -271,7 +267,9 @@ def run_semigroup(config: RunConfig) -> int:
             else:
                 value, t_star, curve = u_functional(f, p, alpha, t_grid)
                 kind = "heat"
-            path = out / f"{_stem(name)}_{kind}_p{p:g}_a{alpha:g}.csv"
+            # reals as in the echo, so distinct pairs get distinct files
+            stem = f"{_stem(name)}_{kind}_p{_real(p)}_a{_real(alpha)}"
+            path = out / f"{stem}.csv"
             curve.to_csv(path)
             summary.append({"function": name, "kind": kind, "p": p,
                             "alpha": alpha, "value": value,
@@ -303,8 +301,7 @@ def run_certify(config: RunConfig) -> int:
         suite = (certify_gaussian_suite if f.measure == GAUSSIAN
                  else certify_lebesgue_suite)
         for p, alpha in config.pairs:
-            entries.extend(suite(f, p, alpha, t_grid=t_grid, f_name=name,
-                                 budget=config.budget, seed=config.seed))
+            entries.extend(suite(f, p, alpha, t_grid=t_grid, f_name=name))
     write_certificates(entries, out / "certificates.json",
                        config=config.echo())
     bad = failures(entries)

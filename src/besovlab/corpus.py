@@ -1,8 +1,9 @@
 """The standard test-function corpus.
 
 Lebesgue-tagged functions are effectively compactly supported inside the box
-(boundary samples below 1e-8 of the max); Gaussian-tagged functions are the
-L2(gamma)-normalized Hermite polynomials and low-degree polynomials.
+(boundary samples below grid.EDGE_TOLERANCE of the max); Gaussian-tagged
+functions are the L2(gamma)-normalized Hermite polynomials and low-degree
+polynomials.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import re
 
 import numpy as np
 
-from .grid import GAUSSIAN, LEBESGUE, Grid, GridFunction
+from .grid import (EDGE_TOLERANCE, GAUSSIAN, LEBESGUE, Grid, GridFunction,
+                   edge_ratio)
 from .ou import hermite_matrix
 
 DEFAULT_BOUNDS_1D = ((-8.0, 8.0),)
@@ -123,15 +125,7 @@ def build_corpus(name, bounds=None, shape=None) -> GridFunction:
 def _checked(f: GridFunction) -> GridFunction:
     """Enforce effective compact support of Lebesgue corpus functions."""
     assert f.measure == LEBESGUE
-    peak = float(np.max(np.abs(f.samples)))
-    if f.dim == 1:
-        edge = max(abs(f.samples[0]), abs(f.samples[-1]))
-    else:
-        edge = max(np.max(np.abs(f.samples[0, :])),
-                   np.max(np.abs(f.samples[-1, :])),
-                   np.max(np.abs(f.samples[:, 0])),
-                   np.max(np.abs(f.samples[:, -1])))
-    if edge > 1e-8 * peak:
+    if edge_ratio(f.samples) > EDGE_TOLERANCE:
         raise ValueError("corpus function does not vanish at the boundary")
     return f
 

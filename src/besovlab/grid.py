@@ -18,6 +18,9 @@ GAUSSIAN = "gaussian"
 
 #: largest admissible shift, as a fraction of the shortest box side
 SHIFT_CAP_FRACTION = 0.1
+#: a Lebesgue-tagged function or test field counts as vanishing at the box
+#: edge when its boundary values stay below this fraction of its peak
+EDGE_TOLERANCE = 1e-8
 
 
 class MeasureMismatchError(ValueError):
@@ -209,6 +212,14 @@ class VectorFieldGrid:
 def field_lq_norm(phi: VectorFieldGrid, q) -> float:
     """L^q norm of the pointwise Euclidean magnitude of the field."""
     return lp_norm(phi.magnitude(), q)
+
+
+def edge_ratio(samples) -> float:
+    """Largest |value| on the boundary of the box over the largest |value|
+    (0 for identically zero samples)."""
+    a = np.abs(np.asarray(samples))
+    edge = max(np.max(np.take(a, [0, -1], axis=ax)) for ax in range(a.ndim))
+    return float(edge / np.max(a)) if np.any(a) else 0.0
 
 
 def shift_cap(f: GridGeometry) -> float:

@@ -3,7 +3,10 @@
 Shift seminorm sup_h |h|^(-alpha) ||f_h - f||_p, its directional variant,
 lower-bound witnesses for the variational functional V (the best constant in
 the nonlinear integration-by-parts inequality), and the one-dimensional
-Gaussian Kantorovich norm.
+Gaussian Kantorovich norm.  The witnesses are the two constructions of the
+proofs, both deterministic: a near-dual-optimal phi integrated along the
+shift segment (segment-integral) or along the heat / OU semigroup
+(semigroup-integral).
 
 All suprema are grid maxima and therefore certified lower bounds of the
 continuum quantities; witnesses are concrete test objects whose quotient can
@@ -14,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.ndimage import gaussian_filter
 
-from .corpus import smooth_cutoff
 from .grid import (
+    EDGE_TOLERANCE,
     GAUSSIAN,
     LEBESGUE,
     Direction,
@@ -30,6 +34,7 @@ from .grid import (
     divergence,
     divergence_gamma,
     dual_exponent,
+    edge_ratio,
     field_lq_norm,
     gaussian_density,
     inner,
@@ -37,12 +42,17 @@ from .grid import (
     shift,
     shift_cap,
 )
-from .ou import hermite_matrix
+from .heat import heat_apply, heat_gradient
+from .ou import ou_apply, ou_gradient
 
 DEFAULT_SHIFT_COUNT = 40
 MOLLIFIER_WIDTH_CELLS = 2.0
 BISECTION_STEPS = 25
 MIN_DIV_NORM = 1e-10
+#: times of the semigroup-integral witnesses
+SEMIGROUP_T = np.geomspace(1e-3, 2.0, 6)
+#: Gauss-Legendre nodes of the 2D semigroup integral in u = sqrt(s)
+SEMIGROUP_NODES = 12
 
 
 def default_shift_magnitudes(f: GridFunction, num=DEFAULT_SHIFT_COUNT):
@@ -168,7 +178,6 @@ class QuotientWitness:
     alpha: float
     construction: str = ""
     direction: tuple = ()
-    seed: int | None = None
 
     def __post_init__(self):
         if self.norm_div <= 0:
@@ -181,7 +190,7 @@ class QuotientWitness:
 
 def v_quotient(f: GridFunction, test, p, alpha,
                direction: Direction | None = None,
-               construction="", seed=None) -> QuotientWitness:
+               construction="") -> QuotientWitness:
     """Evaluate the integration-by-parts quotient of one test object.
 
     test is a VectorFieldGrid (vector-field form) or a GridFunction with a
@@ -211,8 +220,7 @@ def v_quotient(f: GridFunction, test, p, alpha,
     numerator = abs(inner(div, f))
     quotient = numerator / (norm_field ** alpha * norm_div ** (1.0 - alpha))
     return QuotientWitness(test, quotient, numerator, norm_field, norm_div,
-                           float(p), float(alpha), construction, dir_tuple,
-                           seed)
+                           float(p), float(alpha), construction, dir_tuple)
 
 
 def reevaluate(f: GridFunction, w: QuotientWitness) -> float:
@@ -254,13 +262,28 @@ def _dual_optimal(g: GridFunction, p) -> GridFunction:
 
 
 def _antiderivative_shift(phi: GridFunction, h, axis) -> GridFunction:
-    """psi(x) = int_0^h phi(x + s e_axis) ds via the running integral."""
-    acc = cumulative_trapezoid(phi.samples, dx=phi.dx[axis], axis=axis,
+    """psi(x) = int_0^h phi(x + s e_axis) ds via the running integral A,
+    vanishing on the whole boundary of the box.
+
+    phi vanishes past the box, so A holds its end value A(b) there:
+    psi = A(min(x + h, b)) - A(x) is zero at the far end.  phi is zeroed
+    within h of the near end, where psi(a) = int_a^(a+h) phi, and on the
+    boundary nodes of the other axes; for a target supported inside the box
+    these nodes carry no mass of phi anyway.
+    """
+    samples = phi.samples.copy()
+    for ax in range(phi.dim):
+        edge = [slice(None)] * phi.dim
+        edge[ax] = (slice(0, int(math.ceil(h / phi.dx[axis])) + 1)
+                    if ax == axis else [0, -1])
+        samples[tuple(edge)] = 0.0
+    acc = cumulative_trapezoid(samples, dx=phi.dx[axis], axis=axis,
                                initial=0.0)
+    end = np.take(acc, [-1], axis=axis)
     vec = np.zeros(phi.dim)
     vec[axis] = -h
-    shifted = shift(phi.with_samples(acc), vec)
-    return phi.with_samples(shifted.samples - acc)
+    shifted = shift(phi.with_samples(acc - end), vec)
+    return phi.with_samples(shifted.samples + end - acc)
 
 
 def psi_witness(f: GridFunction, h: float, axis: int, p, alpha) -> QuotientWitness:
@@ -282,109 +305,79 @@ def psi_witness(f: GridFunction, h: float, axis: int, p, alpha) -> QuotientWitne
                       construction=f"segment-integral h={h:.6g} axis={axis}")
 
 
-def _random_lebesgue_field(f, rng, modes=5):
-    """Smoothly windowed random trigonometric vector field on f's grid."""
-    window_r = 0.45 * min(b - a for a, b in f.bounds)
-    comps = []
-    grids = f.meshgrid() if f.dim == 2 else (f.axes()[0],)
-    window = np.ones(f.shape)
-    for g in grids:
-        window = window * smooth_cutoff(g, radius=window_r)
-    for _ in range(f.dim):
-        acc = np.zeros(f.shape)
-        for _ in range(modes):
-            w = rng.uniform(0.3, 3.0, size=f.dim)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            amp = rng.normal() / (1.0 + np.sum(w))
-            arg = sum(wi * gi for wi, gi in zip(w, grids))
-            acc += amp * np.cos(arg + phase)
-        comps.append(f.with_samples(window * acc))
-    return VectorFieldGrid(tuple(comps))
+def semigroup_witness(f: GridFunction, t: float, p, alpha) -> QuotientWitness:
+    """The semigroup-integral witness at time t.
 
-
-def _random_gaussian_field(f, rng, degree=4, modes=6):
-    """Random Hermite-polynomial vector field for Gaussian-tagged targets."""
-    grids = f.meshgrid() if f.dim == 2 else (f.axes()[0],)
-    comps = []
-    for _ in range(f.dim):
-        acc = np.zeros(f.shape)
-        for _ in range(modes):
-            ns = rng.integers(0, degree + 1, size=f.dim)
-            c = rng.normal() / (1.0 + float(np.sum(ns)))
-            term = np.ones(f.shape)
-            for n, g in zip(ns.tolist(), grids):
-                term = term * hermite_matrix(n, g.ravel())[n].reshape(g.shape)
-            acc += c * term
-        comps.append(f.with_samples(acc))
-    return VectorFieldGrid(tuple(comps))
-
-
-def _improve_field(f, field, p, alpha, rng, budget):
-    """Coordinate ascent: jitter one component at a time, keep improvements."""
-    def attempt(candidate):
-        try:
-            return v_quotient(f, candidate, p, alpha,
-                              construction="random-field").quotient
-        except ValueError:
-            return -1.0
-
-    best = attempt(field)
-    stale = 0
-    while stale < budget:
-        improved = False
-        for i in range(len(field.components)):
-            bump = (_random_gaussian_field if f.measure == GAUSSIAN
-                    else _random_lebesgue_field)(f, rng)
-            for step in (0.5, -0.5, 0.1, -0.1):
-                comps = list(field.components)
-                comps[i] = comps[i].with_samples(
-                    comps[i].samples + step * bump.components[i].samples)
-                cand = VectorFieldGrid(tuple(comps))
-                val = attempt(cand)
-                if val > best:
-                    best, field = val, cand
-                    improved = True
-        stale = 0 if improved else stale + 1
-    return field, best
-
-
-def v_lower_bound(f: GridFunction, p, alpha, budget=2, seed=20240
-                  ) -> QuotientWitness:
-    """Best-found lower-bound witness for the variational functional.
-
-    Combines the proof-construction segment-integral witnesses over the shift
-    grid (Lebesgue targets) with a seeded random-field search improved by
-    coordinate ascent.  Deterministic for a fixed seed.
+    S is the heat semigroup for Lebesgue targets and the OU semigroup for
+    Gaussian ones.  With phi the near-dual-optimal function of S_t f - f,
+    the field v = int_0^t grad S_s phi ds has div v = c (S_t phi - phi)
+    (c = 2 for heat, whose kernel has variance t; 1 for OU), so
+    <div v, f> = c <phi, S_t f - f>.  In 1D v is that exact solution,
+    rho^-1 int (S_t phi - phi) rho with rho = 1 or the Gaussian density,
+    taken from the nearer end of the box after removing the rho-mean; in 2D
+    the integral runs over u = sqrt(s) on SEMIGROUP_NODES Gauss-Legendre
+    nodes.
     """
-    rng = np.random.default_rng(seed)
-    best = None
+    apply_fn, grad = ((ou_apply, ou_gradient) if f.measure == GAUSSIAN
+                      else (heat_apply, heat_gradient))
+    phi = _dual_optimal(f.with_samples(apply_fn(f, t).samples - f.samples), p)
+    if f.dim == 1:
+        rho = gaussian_density(f) if f.measure == GAUSSIAN else np.ones(f.shape)
+        g = apply_fn(phi, t).samples - phi.samples
+        w = (g - np.trapezoid(g * rho) / np.trapezoid(rho)) * rho
+        left = cumulative_trapezoid(w, dx=f.dx[0], initial=0.0)
+        right = -cumulative_trapezoid(w[::-1], dx=f.dx[0], initial=0.0)[::-1]
+        v = np.where(f.axes()[0] <= 0.0, left, right) / rho
+        field = VectorFieldGrid((f.with_samples(v),))
+    else:
+        nodes, weights = np.polynomial.legendre.leggauss(SEMIGROUP_NODES)
+        half = 0.5 * math.sqrt(t)
+        comps = np.zeros((f.dim,) + f.shape)
+        for x, w in zip(nodes, weights):
+            u = half * (x + 1.0)
+            comps += 2.0 * u * half * w * np.stack(
+                [c.samples for c in grad(phi, u * u).components])
+        field = VectorFieldGrid(tuple(f.with_samples(c) for c in comps))
+    return v_quotient(f, field, p, alpha,
+                      construction=f"semigroup-integral t={t:.6g}")
 
+
+def v_lower_bound(f: GridFunction, p, alpha) -> QuotientWitness:
+    """Best lower-bound witness of the two proof constructions.
+
+    The segment-integral witnesses at 12 shift magnitudes per axis (Lebesgue
+    targets) and the semigroup-integral witnesses at every SEMIGROUP_T.  A
+    Lebesgue candidate is a test object only if it vanishes at the box edge
+    (grid.edge_ratio within EDGE_TOLERANCE); others are skipped.  Gaussian
+    fields are not cut.  Deterministic: no random search, no seed.
+    """
+    attempts = []
     if f.measure == LEBESGUE:
-        mags = default_shift_magnitudes(f, num=12)
-        for axis in range(f.dim):
-            for h in mags:
-                try:
-                    w = psi_witness(f, float(h), axis, p, alpha)
-                except ValueError:
-                    continue
-                if best is None or w.quotient > best.quotient:
-                    best = w
-
-    make = (_random_gaussian_field if f.measure == GAUSSIAN
-            else _random_lebesgue_field)
-    n_candidates = 4 if f.dim == 1 else 2
-    for _ in range(n_candidates):
-        field = make(f, rng)
-        field, val = _improve_field(f, field, p, alpha, rng, budget)
+        attempts = [partial(psi_witness, f, float(h), axis, p, alpha)
+                    for axis in range(f.dim)
+                    for h in default_shift_magnitudes(f, num=12)]
+    attempts += [partial(semigroup_witness, f, float(t), p, alpha)
+                 for t in SEMIGROUP_T]
+    best = None
+    for build in attempts:
         try:
-            w = v_quotient(f, field, p, alpha, construction="random-field",
-                           seed=seed)
+            w = build()
         except ValueError:
+            continue
+        test = (w.field.magnitude() if isinstance(w.field, VectorFieldGrid)
+                else w.field)
+        if f.measure == LEBESGUE and edge_ratio(test.samples) > EDGE_TOLERANCE:
             continue
         if best is None or w.quotient > best.quotient:
             best = w
     if best is None:
-        raise RuntimeError("no admissible witness found")
+        if np.any(f.samples):
+            raise RuntimeError("no admissible witness found")
+        # every construction degenerates on f = 0, where any field attains
+        # V = 0; take the Gaussian bump in each component
+        bump = f.with_samples(gaussian_density(f))
+        best = v_quotient(f, VectorFieldGrid((bump,) * f.dim), p, alpha,
+                          construction="zero-target")
     return best
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,6 @@ valid_configs = st.builds(
     shape1d=st.integers(9, 10 ** 6),
     shape2d=st.integers(9, 10 ** 4),
     t_points=st.integers(2, 1000),
-    budget=st.integers(0, 100),
     seed=st.integers(0, 2 ** 63),
     output_dir=st.text("abc_-./0123456789", min_size=1, max_size=12),
     alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -55,10 +55,9 @@ class TestConfigParsing:
     def test_file_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nseed = 7\npairs = 2:0.5\n")
-        config = load_config(path, ["seed=9", "budget=3"])
+        config = load_config(path, ["seed=9"])
         assert config.seed == 9  # override wins over the file
         assert config.pairs == ((2.0, 0.5),)
-        assert config.budget == 3
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -67,6 +66,12 @@ class TestConfigParsing:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="wibble"):
             load_config(overrides=["wibble=1"])
+
+    def test_witness_search_has_no_budget(self):
+        # the witness search is deterministic; budget is no longer a setting
+        with pytest.raises(ConfigError, match="budget"):
+            load_config(overrides=["budget=1"])
+        assert len(fields(RunConfig)) == 12
 
     def test_bad_value_names_field(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -183,6 +188,24 @@ class TestArtifacts:
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "t,value"
         assert len(lines) == 9
+
+    def test_semigroup_file_names_distinguish_close_pairs(self, tmp_path):
+        # the alphas agree to six significant digits
+        assert main(["semigroup", "corpus=hat",
+                     "pairs=2:0.1234561,2:0.1234562", "t_points=4",
+                     f"output_dir={tmp_path}"]) == 0
+        manifest = json.loads(
+            (tmp_path / "semigroup_manifest.json").read_text())
+        files = [row["file"] for row in manifest["curves"]]
+        assert len(set(files)) == 2
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(files)
+
+    def test_certify_zero_function(self, tmp_path):
+        # every witness construction degenerates on f = 0; V(0) = 0 stands
+        assert main(["certify", "corpus=zero", "shape1d=1025", "t_points=4",
+                     f"output_dir={tmp_path}"]) == 0
+        payload = json.loads((tmp_path / "certificates.json").read_text())
+        assert len(payload["entries"]) == 12
 
     def test_certify_embeds_config(self, tmp_path):
         assert main(["certify", "corpus=indicator", "pairs=1:1",
