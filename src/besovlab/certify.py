@@ -29,6 +29,7 @@ from .grid import (
     dual_exponent,
     integrate,
     lp_norm,
+    quad_weights,
 )
 from .heat import default_t_grid, heat_apply, u_functional
 from .ou import (
@@ -126,17 +127,18 @@ def _diff_norms(f, apply_fn, p, t_grid):
         for t in t_grid])
 
 
+def _center(f):
+    """Mean of f under the grid measure normalized to mass one, and f minus
+    it.  The box holds a little less than the whole Gaussian mass (1 -
+    1.2e-15 on [-8, 8]); normalizing centers a constant to exactly zero."""
+    mean = integrate(f) / float(np.sum(quad_weights(f)))
+    return mean, f.with_samples(f.samples - mean)
+
+
 def _max_ratio(diffs, weights, t_grid):
     vals = diffs / weights
     k = int(np.argmax(vals))
     return float(vals[k]), float(t_grid[k])
-
-
-def _diff_ratio_curve(f, apply_fn, p, weight_fn, t_grid):
-    """max over t of ||f - S_t f||_p / weight(t), plus the argmax t."""
-    diffs = _diff_norms(f, apply_fn, p, t_grid)
-    weights = np.array([weight_fn(float(t)) for t in t_grid])
-    return _max_ratio(diffs, weights, t_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +194,11 @@ def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
         informative=True))
 
     c_alpha_n = abs_moment(alpha, n)
-    ratio, t_star = _diff_ratio_curve(f, heat_apply, p,
-                                      lambda t: t ** (alpha / 2.0), t_grid)
-    ratio_c, _ = _diff_ratio_curve(fc, heat_apply, p,
-                                   lambda t: t ** (alpha / 2.0), t_grid)
+    t_weights = t_grid ** (alpha / 2.0)
+    ratio, t_star = _max_ratio(_diff_norms(f, heat_apply, p, t_grid),
+                               t_weights, t_grid)
+    ratio_c, _ = _max_ratio(_diff_norms(fc, heat_apply, p, t_grid),
+                            t_weights, t_grid)
     eps_r, inf_r = slack_from_pair(ratio, ratio_c)
     entries.append(make_entry(
         "heat-smoothing-curve",
@@ -271,10 +274,9 @@ def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
     fc = coarsen(f)
 
     u_grid = t_grid[::4] if len(t_grid) > 16 else t_grid
-    u_val, u_t, _ = u_gamma_functional(f, p, alpha, u_grid)
-    u_val_c, _, _ = u_gamma_functional(fc, p, alpha, u_grid)
-    eps_u, inf_u = slack_from_pair(u_val, u_val_c)
-    v_up = (4.0 * cp / alpha + 1.0) * u_val * (1.0 + eps_u)
+    v_up, chain = v_gamma_upper_bound(f, p, alpha, u_grid)
+    u_val, eps_u, inf_u = (chain["u_value"], chain["u_slack"],
+                           chain["u_informative"])
 
     witness = v_lower_bound(f, p, alpha)
 
@@ -294,10 +296,9 @@ def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
         inputs=_inputs(f_name, p, alpha, t_star=t_star, v_upper=v_up),
         informative=inf_u or inf_r))
 
-    mean = integrate(f)
-    centered = f.with_samples(f.samples - mean)
+    mean, centered = _center(f)
     lhs_poincare = lp_norm(centered, p)
-    lhs_poincare_c = lp_norm(fc.with_samples(fc.samples - integrate(fc)), p)
+    lhs_poincare_c = lp_norm(_center(fc)[1], p)
     eps_p, inf_p = slack_from_pair(lhs_poincare, lhs_poincare_c)
     entries.append(make_entry(
         "poincare",
@@ -330,34 +331,27 @@ def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
     entries.append(make_entry(
         "v-le-u-gamma",
         "witness V <= (4 C(p)/alpha + 1) * U_gamma (valid for every p >= 1)",
-        lhs=witness.quotient, rhs=(4.0 * cp / alpha + 1.0) * u_val,
-        slack=eps_u,
+        lhs=witness.quotient, rhs=chain["constant"] * u_val, slack=eps_u,
         inputs=_inputs(f_name, p, alpha), informative=inf_u))
 
     if f.dim == 1:
-        if abs(mean) > 1e-8:
-            target = centered
-            u_c_val, _, _ = u_gamma_functional(centered, 1, alpha, u_grid)
-            v_up_hll = (4.0 * cp_closed_form(1.0) / alpha + 1.0) * u_c_val \
-                * (1.0 + eps_u)
+        target = centered if abs(mean) > 1e-8 else f
+        if p == 1 and target is f:
+            v_up_1, chain_1 = v_up, chain
         else:
-            target = f
-            u1 = (u_val if p == 1
-                  else u_gamma_functional(f, 1, alpha, u_grid)[0])
-            v_up_hll = (4.0 * cp_closed_form(1.0) / alpha + 1.0) * u1 \
-                * (1.0 + eps_u)
+            v_up_1, chain_1 = v_gamma_upper_bound(target, 1, alpha, u_grid)
         k_norm = kantorovich_norm_1d(target)
         entries.append(make_entry(
             "transport-interpolation",
             "||f||_1 <= 3 V^(1/(1+alpha)) ||f||_K^(alpha/(1+alpha)), V from "
             "the chain bound at p=1",
             lhs=lp_norm(target, 1),
-            rhs=3.0 * v_up_hll ** (1.0 / (1.0 + alpha))
+            rhs=3.0 * v_up_1 ** (1.0 / (1.0 + alpha))
                 * k_norm ** (alpha / (1.0 + alpha)),
-            slack=eps_u,
+            slack=chain_1["u_slack"],
             inputs=_inputs(f_name, p, alpha, kantorovich=k_norm,
-                           centered=abs(mean) > 1e-8),
-            informative=inf_u))
+                           centered=target is centered),
+            informative=chain_1["u_informative"]))
     return entries
 
 

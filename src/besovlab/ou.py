@@ -4,16 +4,20 @@ Gaussian constants used by the inequality certificates.
 Quadrature route: Gauss-Hermite averaging of grid samples (quintic-spline
 interpolation off the grid, zero outside the box).  The nodes are computed
 once per process and pruned to the K = 68 of 128 heavier than GH_PRUNE_WEIGHT
-times the largest weight.  Each (t, axis) pass builds one spline along the
-axis, evaluates it once on the node x grid-point block and contracts the block
-with the stacked weights w and w*y in one product, which gives the plain
-average (T_t) and the y-weighted one (the gradient kernel) together.  The
-block takes K*n*m*8 bytes on an n x m grid, about 36 MB at 257^2.  ou_apply
-makes dim passes; ou_gradient makes one pass in 1D and three in 2D, the
-axis-0 pass being shared by both components.  Spectral route: the
-eigenrelation "degree-n coefficient decays like exp(-n t)", derived from the
-Mehler kernel; it is gated on the quadrature-agreement test before any
-certificate relies on it.
+times the largest weight.  One contraction kernel, _gauss_average, serves
+every Gaussian average: it builds the spline along one axis, evaluates it
+once at the points of the kept nodes, zeroes the points outside the box and
+contracts them with a weight matrix.  T_t and the gradient kernel take the
+points e^{-t} x + sqrt(1-e^{-2t}) y and the stacked weights w and w*y, so
+each (t, axis) pass gives the plain and the y-weighted average together; the
+node x grid-point block takes K*n*m*8 bytes on an n x m grid, about 36 MB at
+257^2.  ou_apply makes dim passes; ou_gradient makes one pass in 1D and three
+in 2D, the axis-0 pass being shared by both components.  The conditional
+expectation takes the points y and the weights w; the Hermite transform
+contracts each axis in turn with the rows H_n(y) w, in any dimension.
+Spectral route: the eigenrelation "degree-n coefficient decays like
+exp(-n t)", derived from the Mehler kernel; it is gated on the
+quadrature-agreement test before any certificate relies on it.
 """
 
 from __future__ import annotations
@@ -84,36 +88,39 @@ def _check_ou_args(f, t):
         raise ValueError("t must be positive")
 
 
-def _axis_spline(f: GridFunction, axis):
-    """Spline along `axis`, built on a view with that axis first, so that
-    evaluating it at an array of points puts the point axes in front."""
-    x = f.axes()[axis]
-    return make_interp_spline(x, np.moveaxis(f.samples, axis, 0),
-                              k=SPLINE_DEGREE)
+def _gauss_average(samples, x, axis, pts, weights):
+    """Contract `weights` with the spline of `samples` along `axis` at `pts`.
+
+    The spline (nodes x) is evaluated once at pts, whose first axis is the
+    Gauss-Hermite node axis; nodes whose points all leave the box are
+    skipped and the points outside it contribute zero (their Gaussian weight
+    is below 1e-14 for the default box).  Returns weights[:, rows] @ vals:
+    one leading axis per weight row, then pts' trailing axes, then the other
+    axes of samples in order.
+    """
+    a, b = x[0], x[-1]
+    inside = (pts >= a) & (pts <= b)
+    rows = inside.reshape(len(pts), -1).any(axis=1)
+    spline = make_interp_spline(x, np.moveaxis(samples, axis, 0),
+                                k=SPLINE_DEGREE)
+    vals = spline(np.clip(pts[rows], a, b))
+    vals[~inside[rows]] = 0.0
+    out = weights[:, rows] @ vals.reshape(len(vals), math.prod(vals.shape[1:]))
+    return out.reshape(weights.shape[:1] + vals.shape[1:])
 
 
 def _ou_axis_average(f: GridFunction, axis, t):
     """Average f(..., e^{-t} x + sqrt(1-e^{-2t}) y, ...) over Gaussian y,
     plain and weighted by y (the gradient kernel), from one evaluation.
 
-    The spline is evaluated once on the node x grid-point block, skipping
-    nodes whose points all leave the box; points outside the box contribute
-    zero (their Gaussian weight is below 1e-14 for the default box).
     Returns the plain and the y-weighted average stacked on a leading axis
     of length 2, each of f's shape.
     """
     y, w = gauss_hermite()
     x = f.axes()[axis]
-    a, b = f.bounds[axis]
     spread = math.sqrt(1.0 - math.exp(-2.0 * t))
     pts = math.exp(-t) * x[None, :] + spread * y[:, None]
-    inside = (pts >= a) & (pts <= b)
-    rows = np.any(inside, axis=1)
-    vals = _axis_spline(f, axis)(np.clip(pts[rows], a, b))
-    vals[~inside[rows]] = 0.0
-    weights = np.stack([w, w * y])[:, rows]
-    avg = (weights @ vals.reshape(vals.shape[0], -1)).reshape(
-        (2,) + vals.shape[1:])
+    avg = _gauss_average(f.samples, x, axis, pts, np.stack([w, w * y]))
     return np.moveaxis(avg, 1, axis + 1)
 
 
@@ -161,10 +168,8 @@ def conditional_expectation(f: GridFunction, kept_axis: int) -> GridFunction:
         raise MeasureMismatchError("conditional expectation requires the Gaussian tag")
     dropped = 1 - kept_axis
     y, w = gauss_hermite()
-    a, b = f.bounds[dropped]
-    vals = _axis_spline(f, dropped)(np.clip(y, a, b))  # node axis first
-    vals[(y < a) | (y > b)] = 0.0
-    return GridFunction((f.bounds[kept_axis],), w @ vals, GAUSSIAN)
+    vals = _gauss_average(f.samples, f.axes()[dropped], dropped, y, w[None])
+    return GridFunction((f.bounds[kept_axis],), vals[0], GAUSSIAN)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +178,8 @@ def conditional_expectation(f: GridFunction, kept_axis: int) -> GridFunction:
 
 @dataclass(frozen=True)
 class HermiteCoeffs:
-    """Coefficients against orthonormal Hermite polynomials (1D vector or
-    2D tensor), with the truncation budget reported alongside."""
+    """Coefficients against orthonormal Hermite polynomials, one tensor axis
+    per coordinate, with the truncation budget reported alongside."""
 
     coeffs: np.ndarray
     tail_energy: float = 0.0
@@ -182,8 +187,8 @@ class HermiteCoeffs:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
         object.__setattr__(self, "coeffs", c)
-        if c.ndim not in (1, 2):
-            raise ValueError("coefficients must be a vector or a matrix")
+        if c.ndim < 1:
+            raise ValueError("coefficients need at least one axis")
 
     @property
     def dim(self):
@@ -193,48 +198,31 @@ class HermiteCoeffs:
         return float(np.sum(self.coeffs ** 2))
 
     def total_degree(self):
-        """|n| = n_1 + n_2 multi-index array matching the coefficient shape."""
-        if self.dim == 1:
-            return np.arange(self.coeffs.size)
-        m = np.arange(self.coeffs.shape[0])[:, None]
-        n = np.arange(self.coeffs.shape[1])[None, :]
-        return m + n
+        """|n| = n_1 + ... + n_d multi-index array matching the coefficient
+        shape."""
+        return np.indices(self.coeffs.shape).sum(0)
 
     def save_txt(self, path):
+        """One `n_1,...,n_d,value` row per coefficient, in C order."""
         with open(path, "w") as fh:
-            if self.dim == 1:
-                for n, c in enumerate(self.coeffs):
-                    fh.write(f"{n},{c:.17g}\n")
-            else:
-                for m in range(self.coeffs.shape[0]):
-                    for n in range(self.coeffs.shape[1]):
-                        fh.write(f"{m},{n},{self.coeffs[m, n]:.17g}\n")
+            for idx in np.ndindex(self.coeffs.shape):
+                fh.write(",".join(map(str, idx))
+                         + f",{self.coeffs[idx]:.17g}\n")
 
 
 def hermite_transform(f: GridFunction, degree=None) -> HermiteCoeffs:
-    """Project a Gaussian-tagged grid function on the Hermite basis."""
+    """Project a Gaussian-tagged grid function on the Hermite basis, one
+    Gauss-Hermite contraction per axis."""
     if f.measure != GAUSSIAN:
         raise MeasureMismatchError("hermite transform requires the Gaussian tag")
     if degree is None:
         degree = HERMITE_TRUNCATION_1D if f.dim == 1 else HERMITE_TRUNCATION_2D
     y, w = gauss_hermite()
-    if f.dim == 1:
-        a, b = f.bounds[0]
-        spline = _axis_spline(f, 0)
-        vals = np.where((y >= a) & (y <= b), spline(np.clip(y, a, b)), 0.0)
-        coeffs = hermite_matrix(degree, y) @ (w * vals)
-    else:
-        from scipy.interpolate import RectBivariateSpline
-        x0, x1 = f.axes()
-        spline = RectBivariateSpline(x0, x1, f.samples,
-                                     kx=SPLINE_DEGREE, ky=SPLINE_DEGREE)
-        (a0, b0), (a1, b1) = f.bounds
-        in0 = (y >= a0) & (y <= b0)
-        in1 = (y >= a1) & (y <= b1)
-        vals = spline(np.clip(y, a0, b0), np.clip(y, a1, b1))
-        vals = np.where(in0[:, None] & in1[None, :], vals, 0.0)
-        h = hermite_matrix(degree, y)
-        coeffs = h @ ((w[:, None] * w[None, :]) * vals) @ h.T
+    weights = hermite_matrix(degree, y) * w
+    coeffs = f.samples
+    for axis, x in enumerate(f.axes()):
+        coeffs = np.moveaxis(_gauss_average(coeffs, x, axis, y, weights),
+                             0, axis)
     tail = max(lp_norm(f, 2) ** 2 - float(np.sum(coeffs ** 2)), 0.0)
     return HermiteCoeffs(coeffs, tail_energy=tail)
 
@@ -247,13 +235,12 @@ def hermite_synthesize(c: HermiteCoeffs, bounds=None, shape=None) -> GridFunctio
         bounds = DEFAULT_BOUNDS_1D if c.dim == 1 else DEFAULT_BOUNDS_2D
     if shape is None:
         shape = DEFAULT_SHAPE_1D if c.dim == 1 else DEFAULT_SHAPE_2D
-    axes = Grid(bounds, shape).axes()
-    if c.dim == 1:
-        h = hermite_matrix(c.coeffs.size - 1, axes[0])
-        return GridFunction(bounds, c.coeffs @ h, GAUSSIAN)
-    h0 = hermite_matrix(c.coeffs.shape[0] - 1, axes[0])
-    h1 = hermite_matrix(c.coeffs.shape[1] - 1, axes[1])
-    return GridFunction(bounds, h0.T @ c.coeffs @ h1, GAUSSIAN)
+    # each step contracts the leading coefficient axis and appends its grid
+    # axis, so after dim steps the axes are back in order
+    out = c.coeffs
+    for x, n in zip(Grid(bounds, shape).axes(), c.coeffs.shape):
+        out = np.tensordot(out, hermite_matrix(n - 1, x), axes=(0, 0))
+    return GridFunction(bounds, out, GAUSSIAN)
 
 
 def ou_apply_spectral(c: HermiteCoeffs, t: float) -> HermiteCoeffs:

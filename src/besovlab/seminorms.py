@@ -38,6 +38,7 @@ from .grid import (
     field_lq_norm,
     gaussian_density,
     inner,
+    integrate,
     lp_norm,
     shift,
     shift_cap,
@@ -389,15 +390,16 @@ def kantorovich_norm_1d(f: GridFunction) -> float:
     """sup over 1-Lipschitz g of int f g dgamma, by the exact 1D dual.
 
     Equals the integral of |F| where F is the running Gaussian-weighted
-    integral of f; requires a zero-mean (Gaussian-tagged) input.
+    integral of f (trapezoid rule); requires a zero-mean (Gaussian-tagged)
+    input, judged by the midpoint rule of `grid.integrate`, the same rule
+    the Gaussian suite uses to decide whether to center.
     """
     if f.dim != 1:
         raise ValueError("the closed form is one-dimensional")
     if f.measure != GAUSSIAN:
         raise ValueError("Kantorovich norm requires the Gaussian tag")
-    density = gaussian_density(f)
-    weighted = f.samples * density
-    mean = float(np.trapezoid(weighted, dx=f.dx[0]))
+    weighted = f.samples * gaussian_density(f)
+    mean = integrate(f)
     if abs(mean) > 1e-8:
         raise ValueError(f"input must have zero Gaussian mean (got {mean:.3g})")
     big_f = cumulative_trapezoid(weighted, dx=f.dx[0], initial=0.0)

@@ -15,15 +15,27 @@ from besovlab.certify import (
     failures,
     make_entry,
     slack_from_pair,
+    v_gamma_upper_bound,
 )
-from besovlab.grid import GridFunction, VectorFieldGrid, lp_norm
+from besovlab.grid import (
+    GAUSSIAN,
+    GridFunction,
+    VectorFieldGrid,
+    coarsen,
+    gaussian_density,
+    integrate,
+    lp_norm,
+)
+from besovlab.heat import default_t_grid
 from besovlab.ou import (
     cp_closed_form,
     hermite_matrix,
     hermite_transform,
     ou_field,
     ou_gradient,
+    u_gamma_functional,
 )
+from besovlab.seminorms import kantorovich_norm_1d
 
 
 class TestEntryMechanics:
@@ -122,6 +134,58 @@ class TestGaussianSuite:
     def test_rejects_lebesgue_tag(self):
         with pytest.raises(ValueError):
             certify_gaussian_suite(build_corpus("bump"), 2, 0.5)
+
+    def test_chain_bound_from_v_gamma_upper_bound(self):
+        f = build_corpus("hermite(2)", shape=(1025,))
+        t_grid = default_t_grid(4)
+        entries = certify_gaussian_suite(f, 2, 0.5, t_grid=t_grid)
+        v_up, chain = v_gamma_upper_bound(f, 2, 0.5, t_grid)
+        byname = {e.name: e for e in entries}
+        assert byname["ou-approximation-curve"].inputs["v_upper"] == v_up
+        assert byname["v-le-u-gamma"].rhs == \
+            chain["constant"] * chain["u_value"]
+
+    def test_transport_slack_is_the_p1_chain_slack(self):
+        # the transport entry bounds V by the chain at p = 1, so its slack is
+        # the grid-doubling slack of U_gamma at p = 1, not at the suite's p
+        f = build_corpus("hermite(3)", shape=(1025,))
+        t_grid = default_t_grid(4)
+        entries = certify_gaussian_suite(f, 2, 0.5, t_grid=t_grid)
+        e = [x for x in entries if x.name == "transport-interpolation"][0]
+        u1 = u_gamma_functional(f, 1, 0.5, t_grid)[0]
+        u1_c = u_gamma_functional(coarsen(f), 1, 0.5, t_grid)[0]
+        assert e.slack == slack_from_pair(u1, u1_c)[0]
+        assert e.slack == pytest.approx(1.2208e-4, rel=1e-3)
+
+    def test_constant_centers_to_zero(self):
+        # the box holds 1 - 1.2e-15 of the Gaussian mass; centering under the
+        # grid measure normalized to mass one maps a constant to exactly
+        # zero, so the transport entry certifies 0 <= 0 instead of comparing
+        # a 1.2e-15 residue with a 1e-23 bound
+        f = build_corpus("hermite(0)", shape=(1025,))
+        for p in (1, 2):
+            entries = certify_gaussian_suite(f, p, 0.5,
+                                             t_grid=default_t_grid(4))
+            byname = {e.name: e for e in entries}
+            assert byname["poincare"].lhs == 0.0
+            transport = byname["transport-interpolation"]
+            assert transport.lhs == 0.0 and transport.passed
+
+    def test_zero_mean_rule_shared_with_kantorovich(self):
+        # midpoint mean 0, trapezoid mean -3.9e-8: the suite does not
+        # center this input, so the Kantorovich gate must accept it too
+        x = np.linspace(-8.0, 8.0, 1025)
+        s = np.zeros_like(x)
+        f = GridFunction(((-8.0, 8.0),), s, GAUSSIAN)
+        rho = gaussian_density(f)
+        s[0] = 1e9
+        s[1] = -1e9 * rho[0] / rho[1]
+        f = f.with_samples(s)
+        assert abs(integrate(f)) <= 1e-8
+        assert kantorovich_norm_1d(f) > 0.0
+        entries = certify_gaussian_suite(f, 2, 0.5, t_grid=default_t_grid(4))
+        e = [x for x in entries if x.name == "transport-interpolation"][0]
+        assert not e.inputs["centered"]
 
 
 class TestProjectionSuite:

@@ -17,6 +17,7 @@ from besovlab.grid import (
     GridFunction,
     VectorFieldGrid,
     edge_ratio,
+    shift_cap,
 )
 from besovlab.seminorms import (
     BesovEstimate,
@@ -268,6 +269,33 @@ def test_v_quotient_scaling(name, form, p, alpha, c):
                         direction=direction).quotient
     assert same == pytest.approx(base, rel=1e-12)
     assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["hat", "indicator", "hat2d"]),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       alpha=st.floats(0.05, 1.0),
+       data=st.data())
+def test_besov_seminorm_translation_covariant(name, p, alpha, data):
+    # a whole-cell translation that keeps the support at least one shift cap
+    # from the box edge leaves the grid seminorm unchanged, and the witness
+    # shift found for the moved function attains it on the original too
+    # (the witness itself can differ where the quotient ties: hat2d's two
+    # axes, or p = alpha = 1, where the quotient is flat in |h|)
+    f = build_corpus(name, shape=(97, 97) if name == "hat2d" else (1025,))
+    cells = []
+    for axis in range(f.dim):
+        others = tuple(a for a in range(f.dim) if a != axis)
+        support = np.flatnonzero(np.any(f.samples != 0.0, axis=others))
+        margin = math.ceil(shift_cap(f) / f.dx[axis])
+        cells.append(data.draw(st.integers(
+            margin - support[0], f.shape[axis] - 1 - margin - support[-1])))
+    moved = f.with_samples(np.roll(f.samples, cells, axis=tuple(range(f.dim))))
+    base = besov_seminorm(f, p, alpha)
+    got = besov_seminorm(moved, p, alpha)
+    assert got.value == pytest.approx(base.value, rel=1e-12)
+    assert shift_quotient(f, got.witness_h, p, alpha) == pytest.approx(
+        base.value, rel=1e-12)
 
 
 class TestKantorovich:
