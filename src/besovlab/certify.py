@@ -25,11 +25,10 @@ from .grid import (
     GAUSSIAN,
     LEBESGUE,
     GridFunction,
+    center,
     coarsen,
     dual_exponent,
-    integrate,
     lp_norm,
-    quad_weights,
 )
 from .heat import default_t_grid, heat_apply, u_functional
 from .ou import (
@@ -99,19 +98,20 @@ def make_entry(name, statement, lhs, rhs, slack, inputs, informative=False):
                             margin >= 0.0, informative, dict(inputs))
 
 
-def slack_from_pair(fine, coarse, floor=SLACK_FLOOR, cap=SLACK_CAP):
-    """Multiplicative discretization slack from one grid-doubling pair.
+def slack_from_pair(fine, coarse):
+    """Multiplicative discretization slack from one grid-doubling pair,
+    between SLACK_FLOOR and SLACK_CAP.
 
     Returns (slack, informative): when the relative change exceeds the cap
     the quantity is grid-limited and the entry must be informative.
     """
     scale = max(abs(fine), abs(coarse))
     if scale == 0.0:
-        return floor, False
+        return SLACK_FLOOR, False
     eps = abs(fine - coarse) / scale
-    if eps > cap:
-        return cap, True
-    return max(eps, floor), False
+    if eps > SLACK_CAP:
+        return SLACK_CAP, True
+    return max(eps, SLACK_FLOOR), False
 
 
 def _inputs(f_name, p, alpha, **extra):
@@ -125,14 +125,6 @@ def _diff_norms(f, apply_fn, p, t_grid):
     return np.array([
         lp_norm(f.with_samples(f.samples - apply_fn(f, float(t)).samples), p)
         for t in t_grid])
-
-
-def _center(f):
-    """Mean of f under the grid measure normalized to mass one, and f minus
-    it.  The box holds a little less than the whole Gaussian mass (1 -
-    1.2e-15 on [-8, 8]); normalizing centers a constant to exactly zero."""
-    mean = integrate(f) / float(np.sum(quad_weights(f)))
-    return mean, f.with_samples(f.samples - mean)
 
 
 def _max_ratio(diffs, weights, t_grid):
@@ -296,9 +288,9 @@ def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
         inputs=_inputs(f_name, p, alpha, t_star=t_star, v_upper=v_up),
         informative=inf_u or inf_r))
 
-    mean, centered = _center(f)
+    mean, centered = center(f)
     lhs_poincare = lp_norm(centered, p)
-    lhs_poincare_c = lp_norm(_center(fc)[1], p)
+    lhs_poincare_c = lp_norm(center(fc)[1], p)
     eps_p, inf_p = slack_from_pair(lhs_poincare, lhs_poincare_c)
     entries.append(make_entry(
         "poincare",
@@ -391,13 +383,13 @@ def certify_projection_suite(f: GridFunction, p, alpha, f_name="f"):
 # Spectral embedding at p = 2
 
 
-def embedding_constant(alpha, q=2.0):
-    """C(2, alpha) = (2/alpha)/Gamma(alpha/2) + 2 C(q)/((1-alpha) "
-    "Gamma(alpha/2))."""
+def embedding_constant(alpha):
+    """C(2, alpha) = (2/alpha)/Gamma(alpha/2) + 2 C(2)/((1-alpha)
+    Gamma(alpha/2))."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("the embedding constant needs alpha in (0, 1)")
     g = math.gamma(alpha / 2.0)
-    return (2.0 / alpha) / g + 2.0 * cp_closed_form(q) / ((1.0 - alpha) * g)
+    return (2.0 / alpha) / g + 2.0 * cp_closed_form(2.0) / ((1.0 - alpha) * g)
 
 
 def certify_embedding_p2(c: HermiteCoeffs, alpha, f_name="f"):

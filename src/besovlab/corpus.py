@@ -40,10 +40,10 @@ def smooth_cutoff(x, radius=7.0):
     return out
 
 
-def weierstrass_samples(x, alpha, octaves=WEIERSTRASS_OCTAVES):
+def weierstrass_samples(x, alpha):
     """Truncated lacunary cosine series of Holder order alpha, cut off smoothly."""
     acc = np.zeros_like(x)
-    for j in range(octaves + 1):
+    for j in range(WEIERSTRASS_OCTAVES + 1):
         acc += 2.0 ** (-alpha * j) * np.cos(2.0 ** j * x)
     return smooth_cutoff(x) * acc
 

@@ -18,13 +18,15 @@ import numpy as np
 from scipy.special import zeta
 
 from .corpus import smooth_cutoff
-from .grid import LEBESGUE, Direction, GridFunction
+from .grid import LEBESGUE, Direction, GridFunction, along
 from .seminorms import v_quotient
 
 X_PERIOD = 2.0 * math.pi
 DEFAULT_SHAPE = (513, 513)
 #: minimum samples per oscillation for the sine quadrature
 SAMPLES_PER_OSCILLATION = 8
+#: modulation frequencies of the directional scan's test family
+PHI_FREQUENCIES = (1, 2, 4, 8, 16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -166,15 +168,14 @@ def slice_coefficients(f: GridFunction, y: float, k_max=None):
     return -dx * spectrum.imag[1:k_max + 1]
 
 
-def slice_blowup_profile(f: GridFunction, y: float, alpha: float,
-                         k_max=None):
+def slice_blowup_profile(f: GridFunction, y: float, alpha: float):
     """(max over k of k^alpha * a_k(y), argmax k).
 
     At a covered y the maximum is near pi sqrt(ln k*) for the largest
     covering index k*; its growth along truncations witnesses that the
     slice fails alpha-smoothness.
     """
-    coeffs = slice_coefficients(f, y, k_max)
+    coeffs = slice_coefficients(f, y)
     k = np.arange(1, coeffs.size + 1)
     weighted = k ** alpha * coeffs
     j = int(np.argmax(weighted))
@@ -194,11 +195,10 @@ def reconstruct_slice(coeffs, n_x):
 # Directional quotient scan
 
 
-def default_phi_family(f: GridFunction, frequencies=None):
+def default_phi_family(f: GridFunction):
     """Smooth bumps and modulated bumps on f's grid, named for reports."""
-    if frequencies is None:
-        top = max(2, max_resolved_index(f))
-        frequencies = [m for m in (1, 2, 4, 8, 16, 32, 64) if m <= top]
+    top = max(2, max_resolved_index(f))
+    frequencies = [m for m in PHI_FREQUENCIES if m <= top]
     x, y = f.meshgrid()
     # C-infinity bump in both variables, vanishing at the boundary
     bump_x = smooth_cutoff((x - math.pi) / math.pi, radius=1.0)
@@ -213,9 +213,9 @@ def default_phi_family(f: GridFunction, frequencies=None):
     return family
 
 
-def directional_bound_scan(spec: CounterexampleSpec, n_list, shape=None,
-                           phi_family=None):
-    """Max directional quotient per truncation N in n_list.
+def directional_bound_scan(spec: CounterexampleSpec, n_list, shape=None):
+    """Max directional quotient per truncation N in n_list, over the fields
+    phi * e_x of default_phi_family.
 
     Boundedness of the row of maxima across truncations is the numeric
     certificate that the construction stays directionally alpha-smooth
@@ -227,11 +227,9 @@ def directional_bound_scan(spec: CounterexampleSpec, n_list, shape=None,
     for n in n_list:
         sub = CounterexampleSpec(spec.alpha, int(n), spec.k_start)
         f, _ = build_counterexample(sub, shape=shape)
-        family = phi_family or default_phi_family(f)
         best, best_name = 0.0, ""
-        for name, phi in family:
-            val = v_quotient(f, phi, 1, spec.alpha,
-                             direction=x_axis).quotient
+        for name, phi in default_phi_family(f):
+            val = v_quotient(f, along(phi, x_axis), 1, spec.alpha).quotient
             if val > best:
                 best, best_name = val, name
         rows.append((int(n), best, best_name))

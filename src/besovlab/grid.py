@@ -134,6 +134,15 @@ def integrate(f: GridFunction) -> float:
     return float(np.sum(quad_weights(f) * f.samples))
 
 
+def center(f: GridFunction):
+    """Mean of f under the grid measure normalized to mass one, and f minus
+    it: the one zero-mean rule.  The box holds a little less than the whole
+    Gaussian mass (1 - 1.2e-15 on [-8, 8]); normalizing centers a constant
+    to exactly zero."""
+    mean = integrate(f) / float(np.sum(quad_weights(f)))
+    return mean, f.with_samples(f.samples - mean)
+
+
 def inner(f: GridFunction, g: GridFunction) -> float:
     """Integral of f*g under f's tagged measure (shared grid)."""
     if not f.same_grid(g):
@@ -207,6 +216,15 @@ class VectorFieldGrid:
         """Pointwise Euclidean norm |Phi(x)| as a GridFunction."""
         m = np.sqrt(sum(c.samples ** 2 for c in self.components))
         return self.components[0].with_samples(m)
+
+
+def along(psi: GridFunction, e: Direction) -> VectorFieldGrid:
+    """The field psi * e, whose divergence is the derivative of psi along e:
+    the directional test objects of V."""
+    if e.dim != psi.dim:
+        raise ValueError("direction dimension mismatch")
+    return VectorFieldGrid(tuple(psi.with_samples(c * psi.samples)
+                                 for c in e.e))
 
 
 def field_lq_norm(phi: VectorFieldGrid, q) -> float:

@@ -45,8 +45,9 @@ class SemigroupCurve:
                 fh.write(f"{t:.17g},{v:.17g}\n")
 
 
-def default_t_grid(num=64, lo=1e-4, hi=1e2):
-    return np.geomspace(lo, hi, num)
+def default_t_grid(num=64):
+    """num geometric points from 1e-4 to 1e2."""
+    return np.geomspace(1e-4, 1e2, num)
 
 
 def _kernel_offsets(t, dx, n):

@@ -20,6 +20,13 @@ from .grid import (Direction, GridFunction, GridGeometry, quad_weights,
 
 #: below this many cell widths a shift is dominated by grid artifacts
 FIT_CELL_FLOOR = 4.0
+#: points of the default profile t grid, which runs from the fit floor to 1
+PROFILE_T_POINTS = 32
+#: random triples of the triangle-inequality check, and their seed
+TRIANGLE_TRIPLES = 20
+TRIANGLE_SEED = 20240
+#: random shifts per slice of the chaining check
+CHAINING_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -113,9 +120,9 @@ def _fit_floor(mu: GridMeasure, direction: Direction):
         abs(e) * d for e, d in zip(direction.e, mu.dx) if e != 0.0)
 
 
-def default_profile_t_grid(mu: GridMeasure, direction: Direction, num=32,
-                           hi=1.0):
-    return tuple(np.geomspace(_fit_floor(mu, direction), hi, num))
+def default_profile_t_grid(mu: GridMeasure, direction: Direction):
+    return tuple(np.geomspace(_fit_floor(mu, direction), 1.0,
+                              PROFILE_T_POINTS))
 
 
 def holder_profile(mu: GridMeasure, direction: Direction, t_grid=None):
@@ -172,8 +179,7 @@ def shift_distance(mu: GridMeasure, h1, h2, alpha, t_grid=None) -> float:
     return best
 
 
-def metric_axioms_check(mu: GridMeasure, h_list, alpha, t_grid=None,
-                        n_triples=20, seed=20240):
+def metric_axioms_check(mu: GridMeasure, h_list, alpha, t_grid=None):
     """Symmetry, identity, triangle and translation invariance on h_list.
 
     Completeness and compactness of the underlying space are out of numeric
@@ -190,9 +196,9 @@ def metric_axioms_check(mu: GridMeasure, h_list, alpha, t_grid=None,
     symmetry_max = max(abs(d(a, b) - d(b, a))
                        for i, a in enumerate(h_list)
                        for b in h_list[i + 1:])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(TRIANGLE_SEED)
     triangle_worst = -math.inf
-    for _ in range(n_triples):
+    for _ in range(TRIANGLE_TRIPLES):
         i, j, k = rng.choice(len(h_list), size=3, replace=False)
         lhs = d(h_list[i], h_list[k])
         rhs = d(h_list[i], h_list[j]) + d(h_list[j], h_list[k])
@@ -207,7 +213,7 @@ def metric_axioms_check(mu: GridMeasure, h_list, alpha, t_grid=None,
         "triangle_worst_violation": triangle_worst,
         "translation_max": translation_max,
         "n_shifts": len(h_list),
-        "n_triples": n_triples,
+        "n_triples": TRIANGLE_TRIPLES,
     }
 
 
@@ -260,28 +266,27 @@ def chaining_constant(mu: GridMeasure, direction: Direction, beta,
     return best
 
 
-def chaining_check(slices, beta, depth, direction=None, n_samples=50,
-                   seed=20240, slack=0.0):
-    """Dyadic-to-continuum shift bound, slice by slice.
+def chaining_check(slices, beta, depth, seed=20240):
+    """Dyadic-to-continuum shift bound for 1D slices, slice by slice, along
+    the positive axis.
 
     From the dyadic constants C(y) the continuum bound uses exactly
-    max(2, C(y) / (1 - 2^-beta)): for each of n_samples shifts s in (0, 1)
-    the TV must stay below bound * s^beta * (1 + slack).  Returns a report
-    dict with one row per slice.
+    max(2, C(y) / (1 - 2^-beta)): for each of CHAINING_SAMPLES shifts s in
+    (0, 1) the TV must stay below bound * s^beta.  Returns a report dict
+    with one row per slice.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     if depth < 1:
         raise ValueError("depth must be positive")
     rng = np.random.default_rng(seed)
-    samples = rng.uniform(0.0, 1.0, size=n_samples)
+    samples = rng.uniform(0.0, 1.0, size=CHAINING_SAMPLES)
     samples = samples[samples > 0.0]
     geometric = 1.0 / (1.0 - 2.0 ** (-beta))
     rows = []
     all_pass = True
     for idx, mu in enumerate(slices):
-        if direction is None:
-            direction = Direction((1.0,) * mu.dim)
+        direction = Direction((1.0,) * mu.dim)
         c = chaining_constant(mu, direction, beta, depth)
         bound = max(2.0, geometric * c)
         worst = 0.0
@@ -289,7 +294,7 @@ def chaining_check(slices, beta, depth, direction=None, n_samples=50,
             h = tuple(s * e for e in direction.e)
             tv = tv_distance(shift_measure(mu, h), mu)
             worst = max(worst, tv / (bound * s ** beta))
-        ok = bool(worst <= 1.0 + slack)
+        ok = bool(worst <= 1.0)
         all_pass = all_pass and ok
         rows.append({"slice": idx, "C": float(c),
                      "bound_constant": float(bound),

@@ -51,14 +51,15 @@ HERMITE_TRUNCATION_1D = 64
 HERMITE_TRUNCATION_2D = 32
 
 
-@functools.lru_cache(maxsize=None)
-def gauss_hermite(num=GH_NODES):
+@functools.cache
+def gauss_hermite():
     """Nodes/weights for averaging against the standard Gaussian measure.
 
-    Computed once per node count; nodes lighter than GH_PRUNE_WEIGHT times
-    the heaviest are dropped.  The arrays are shared, hence read-only.
+    Computed once per process from GH_NODES nodes; nodes lighter than
+    GH_PRUNE_WEIGHT times the heaviest are dropped.  The arrays are shared,
+    hence read-only.
     """
-    u, w = np.polynomial.hermite.hermgauss(num)
+    u, w = np.polynomial.hermite.hermgauss(GH_NODES)
     keep = w >= GH_PRUNE_WEIGHT * np.max(w)
     y = math.sqrt(2.0) * u[keep]
     w = w[keep] / math.sqrt(math.pi)

@@ -3,10 +3,12 @@
 Shift seminorm sup_h |h|^(-alpha) ||f_h - f||_p, its directional variant,
 lower-bound witnesses for the variational functional V (the best constant in
 the nonlinear integration-by-parts inequality), and the one-dimensional
-Gaussian Kantorovich norm.  The witnesses are the two constructions of the
-proofs, both deterministic: a near-dual-optimal phi integrated along the
-shift segment (segment-integral) or along the heat / OU semigroup
-(semigroup-integral).
+Gaussian Kantorovich norm.  Every V test object is a vector field: the
+directional form of V is the supremum over fields psi * e along one
+direction e (grid.along), and the Gaussian form pairs the same quotient with
+div_gamma.  The witnesses are the two constructions of the proofs, both
+deterministic: a near-dual-optimal phi integrated along the shift segment
+(segment-integral) or along the heat / OU semigroup (semigroup-integral).
 
 All suprema are grid maxima and therefore certified lower bounds of the
 continuum quantities; witnesses are concrete test objects whose quotient can
@@ -30,7 +32,8 @@ from .grid import (
     Direction,
     GridFunction,
     VectorFieldGrid,
-    directional_derivative,
+    along,
+    center,
     divergence,
     divergence_gamma,
     dual_exponent,
@@ -38,8 +41,8 @@ from .grid import (
     field_lq_norm,
     gaussian_density,
     inner,
-    integrate,
     lp_norm,
+    quad_weights,
     shift,
     shift_cap,
 )
@@ -80,12 +83,9 @@ class BesovEstimate:
     witness_h: tuple
     p: float
     alpha: float
-    kind: str
     cap_limited: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("shift", "directional"):
-            raise ValueError("kind must be 'shift' or 'directional'")
         if self.value < 0:
             raise ValueError("value must be nonnegative")
 
@@ -100,7 +100,7 @@ def shift_quotient(f: GridFunction, h, p, alpha) -> float:
     return mag ** (-alpha) * lp_norm(d, p)
 
 
-def _estimate(f, p, alpha, shifts, kind):
+def _estimate(f, p, alpha, shifts):
     vals = [shift_quotient(f, h, p, alpha) for h in shifts]
     if not vals:
         raise ValueError("empty shift grid")
@@ -131,7 +131,7 @@ def _estimate(f, p, alpha, shifts, kind):
     if v_star > best:
         best, best_h = v_star, m_star * direction
     cap_limited = float(np.linalg.norm(best_h)) >= cap * (1 - 1e-9)
-    return BesovEstimate(best, tuple(best_h), float(p), float(alpha), kind,
+    return BesovEstimate(best, tuple(best_h), float(p), float(alpha),
                          cap_limited)
 
 
@@ -143,18 +143,15 @@ def besov_seminorm(f: GridFunction, p, alpha, h_grid=None) -> BesovEstimate:
         mags = default_shift_magnitudes(f)
         h_grid = [m * np.asarray(e.e) for e in _default_directions(f.dim)
                   for m in mags]
-    return _estimate(f, p, alpha, list(h_grid), "shift")
+    return _estimate(f, p, alpha, list(h_grid))
 
 
-def directional_seminorm(f: GridFunction, p, alpha, e: Direction,
-                         t_grid=None) -> BesovEstimate:
-    """Shift seminorm restricted to shifts t*e."""
-    if f.measure != LEBESGUE:
-        raise ValueError("shift seminorms need a Lebesgue-tagged function")
-    if t_grid is None:
-        t_grid = default_shift_magnitudes(f)
-    shifts = [t * np.asarray(e.e) for t in t_grid]
-    return _estimate(f, p, alpha, shifts, "directional")
+def directional_seminorm(f: GridFunction, p, alpha,
+                         e: Direction) -> BesovEstimate:
+    """Shift seminorm restricted to shifts t*e, t over the default
+    magnitudes."""
+    return besov_seminorm(f, p, alpha, [t * np.asarray(e.e)
+                                        for t in default_shift_magnitudes(f)])
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +160,14 @@ def directional_seminorm(f: GridFunction, p, alpha, e: Direction,
 
 @dataclass(frozen=True)
 class QuotientWitness:
-    """A test object together with its certified quotient.
+    """A test field together with its certified quotient.
 
     Every finite quotient is a lower bound for the variational functional V
-    of the corresponding definition (vector-field, directional, or Gaussian,
-    selected by the measure tag of the target function).
+    (Lebesgue or Gaussian, selected by the measure tag of the target
+    function).
     """
 
-    field: object  # VectorFieldGrid, or GridFunction for the directional form
+    field: VectorFieldGrid
     quotient: float
     numerator: float
     norm_field: float
@@ -178,7 +175,6 @@ class QuotientWitness:
     p: float
     alpha: float
     construction: str = ""
-    direction: tuple = ()
 
     def __post_init__(self):
         if self.norm_div <= 0:
@@ -189,48 +185,35 @@ class QuotientWitness:
             raise ValueError("quotient does not match its factorization")
 
 
-def v_quotient(f: GridFunction, test, p, alpha,
-               direction: Direction | None = None,
+def v_quotient(f: GridFunction, field: VectorFieldGrid, p, alpha,
                construction="") -> QuotientWitness:
-    """Evaluate the integration-by-parts quotient of one test object.
+    """Evaluate the integration-by-parts quotient of one test field.
 
-    test is a VectorFieldGrid (vector-field form) or a GridFunction with a
-    Direction (directional form).  The divergence flavor follows f's measure
-    tag.
+    The divergence flavor follows f's measure tag; the directional form is
+    the field psi * e built by grid.along.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     q = dual_exponent(p)
-    if isinstance(test, VectorFieldGrid):
-        if not test.components[0].same_grid(f):
-            raise ValueError("test field must share f's grid")
-        div = divergence_gamma(test) if f.measure == GAUSSIAN else divergence(test)
-        norm_field = field_lq_norm(test, q)
-        dir_tuple = ()
+    if not field.components[0].same_grid(f):
+        raise ValueError("test field must share f's grid")
+    if f.measure == GAUSSIAN:
+        # div_gamma v has Gaussian mean zero, so it is paired with f centered
+        # by grid.center: a constant target gets the quotient 0 of V
+        div, f = divergence_gamma(field), center(f)[1]
     else:
-        if direction is None:
-            raise ValueError("scalar test objects need a Direction")
-        if not test.same_grid(f):
-            raise ValueError("test function must share f's grid")
-        div = directional_derivative(test, direction)
-        norm_field = lp_norm(test, q)
-        dir_tuple = tuple(direction.e)
+        div = divergence(field)
+    norm_field = field_lq_norm(field, q)
     norm_div = lp_norm(div, q)
     if norm_div <= MIN_DIV_NORM:
         raise ValueError("test object has (numerically) vanishing divergence")
     numerator = abs(inner(div, f))
     quotient = numerator / (norm_field ** alpha * norm_div ** (1.0 - alpha))
-    return QuotientWitness(test, quotient, numerator, norm_field, norm_div,
-                           float(p), float(alpha), construction, dir_tuple)
+    return QuotientWitness(field, quotient, numerator, norm_field, norm_div,
+                           float(p), float(alpha), construction)
 
 
-def reevaluate(f: GridFunction, w: QuotientWitness) -> float:
-    """Recompute a stored witness's quotient from its test object."""
-    direction = Direction(w.direction) if w.direction else None
-    return v_quotient(f, w.field, w.p, w.alpha, direction=direction).quotient
-
-
-def _mollify(samples, dim):
+def _mollify(samples):
     return gaussian_filter(samples, sigma=MOLLIFIER_WIDTH_CELLS,
                            mode="constant")
 
@@ -251,7 +234,7 @@ def _dual_optimal(g: GridFunction, p) -> GridFunction:
         else:
             phi = (np.sign(g.samples) * np.abs(g.samples) ** (p - 1.0)
                    / norm ** (p - 1.0))
-    phi = _mollify(phi, g.dim)
+    phi = _mollify(phi)
     out = g.with_samples(phi)
     if q == np.inf:
         out = g.with_samples(np.clip(phi, -1.0, 1.0))
@@ -291,8 +274,9 @@ def psi_witness(f: GridFunction, h: float, axis: int, p, alpha) -> QuotientWitne
     """The proof-construction witness at one shift magnitude.
 
     Builds the near-dual-optimal phi of f_h - f along the axis, integrates it
-    over the shift segment, and evaluates the directional quotient.  Realizes
-    at least 2^(alpha-1) |h|^(-alpha) ||f_h - f||_p up to mollification error.
+    over the shift segment into psi, and evaluates the quotient of the field
+    psi * e_axis.  Realizes at least 2^(alpha-1) |h|^(-alpha) ||f_h - f||_p up
+    to mollification error.
     """
     if f.measure != LEBESGUE:
         raise ValueError("the segment-integral witness needs a Lebesgue tag")
@@ -302,7 +286,7 @@ def psi_witness(f: GridFunction, h: float, axis: int, p, alpha) -> QuotientWitne
     phi = _dual_optimal(g, p)
     psi = _antiderivative_shift(phi, h, axis)
     e = Direction(tuple(1.0 if i == axis else 0.0 for i in range(f.dim)))
-    return v_quotient(f, psi, p, alpha, direction=e,
+    return v_quotient(f, along(psi, e), p, alpha,
                       construction=f"segment-integral h={h:.6g} axis={axis}")
 
 
@@ -365,9 +349,8 @@ def v_lower_bound(f: GridFunction, p, alpha) -> QuotientWitness:
             w = build()
         except ValueError:
             continue
-        test = (w.field.magnitude() if isinstance(w.field, VectorFieldGrid)
-                else w.field)
-        if f.measure == LEBESGUE and edge_ratio(test.samples) > EDGE_TOLERANCE:
+        if (f.measure == LEBESGUE
+                and edge_ratio(w.field.magnitude().samples) > EDGE_TOLERANCE):
             continue
         if best is None or w.quotient > best.quotient:
             best = w
@@ -390,17 +373,19 @@ def kantorovich_norm_1d(f: GridFunction) -> float:
     """sup over 1-Lipschitz g of int f g dgamma, by the exact 1D dual.
 
     Equals the integral of |F| where F is the running Gaussian-weighted
-    integral of f (trapezoid rule); requires a zero-mean (Gaussian-tagged)
-    input, judged by the midpoint rule of `grid.integrate`, the same rule
-    the Gaussian suite uses to decide whether to center.
+    integral of f.  Both are midpoint sums: F at a node takes the cells to
+    its left plus half of its own, so F returns to 0 at the right end when
+    the midpoint mean is 0.  Requires a zero-mean (Gaussian-tagged) input,
+    judged by grid.center, the rule the Gaussian suite uses to decide
+    whether to center.
     """
     if f.dim != 1:
         raise ValueError("the closed form is one-dimensional")
     if f.measure != GAUSSIAN:
         raise ValueError("Kantorovich norm requires the Gaussian tag")
-    weighted = f.samples * gaussian_density(f)
-    mean = integrate(f)
+    mean = center(f)[0]
     if abs(mean) > 1e-8:
         raise ValueError(f"input must have zero Gaussian mean (got {mean:.3g})")
-    big_f = cumulative_trapezoid(weighted, dx=f.dx[0], initial=0.0)
-    return float(np.trapezoid(np.abs(big_f), dx=f.dx[0]))
+    weighted = quad_weights(f) * f.samples
+    big_f = np.cumsum(weighted) - 0.5 * weighted
+    return float(np.sum(np.abs(big_f)) * f.dx[0])

@@ -38,6 +38,17 @@ from besovlab.ou import (
 from besovlab.seminorms import kantorovich_norm_1d
 
 
+def _spike_pair():
+    """Two opposite spikes at the left end of [-8, 8] (1025 nodes) whose
+    midpoint Gaussian mean is 0."""
+    f = GridFunction(((-8.0, 8.0),), np.zeros(1025), GAUSSIAN)
+    rho = gaussian_density(f)
+    s = np.zeros(1025)
+    s[0] = 1e9
+    s[1] = -1e9 * rho[0] / rho[1]
+    return f.with_samples(s)
+
+
 class TestEntryMechanics:
     def test_pass_iff_margin_nonnegative(self):
         e = make_entry("a", "stmt", lhs=1.0, rhs=1.0, slack=0.01, inputs={})
@@ -174,18 +185,22 @@ class TestGaussianSuite:
     def test_zero_mean_rule_shared_with_kantorovich(self):
         # midpoint mean 0, trapezoid mean -3.9e-8: the suite does not
         # center this input, so the Kantorovich gate must accept it too
-        x = np.linspace(-8.0, 8.0, 1025)
-        s = np.zeros_like(x)
-        f = GridFunction(((-8.0, 8.0),), s, GAUSSIAN)
-        rho = gaussian_density(f)
-        s[0] = 1e9
-        s[1] = -1e9 * rho[0] / rho[1]
-        f = f.with_samples(s)
+        f = _spike_pair()
         assert abs(integrate(f)) <= 1e-8
         assert kantorovich_norm_1d(f) > 0.0
         entries = certify_gaussian_suite(f, 2, 0.5, t_grid=default_t_grid(4))
         e = [x for x in entries if x.name == "transport-interpolation"][0]
         assert not e.inputs["centered"]
+
+    def test_kantorovich_of_spike_pair_is_the_dipole_cost(self):
+        # the midpoint running integral returns to 0 after the pair, so the
+        # value is the dipole's own cost dx^2 w_0 = 1.23e-9; a trapezoid
+        # running integral drifts by its -3.9e-8 mean to the right end
+        f = _spike_pair()
+        w0 = f.samples[0] * gaussian_density(f)[0]
+        assert kantorovich_norm_1d(f) <= 2e-9
+        assert kantorovich_norm_1d(f) == pytest.approx(f.dx[0] ** 2 * w0,
+                                                       rel=1e-6)
 
 
 class TestProjectionSuite:

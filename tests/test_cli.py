@@ -177,6 +177,17 @@ class TestArtifacts:
         assert row["value"] == 0.0
         assert payload["config"]["seed"] == 20240
 
+    def test_certify_constant_gaussian_target(self, tmp_path):
+        # the witness of V for a constant is 0, so v-le-u-gamma certifies
+        # 0 <= rhs instead of failing on a box-edge residue
+        assert main(["certify", "corpus=hermite(0)", "pairs=1:0.5",
+                     "shape1d=1025", "t_points=4",
+                     f"output_dir={tmp_path}"]) == 0
+        entries = json.loads(
+            (tmp_path / "certificates.json").read_text())["entries"]
+        chain = [e for e in entries if e["name"] == "v-le-u-gamma"][0]
+        assert chain["lhs"] == 0.0 and chain["pass"]
+
     def test_semigroup_curves(self, tmp_path):
         assert main(["semigroup", "corpus=hat,hermite(1)", "pairs=2:0.5",
                      "t_points=8", f"output_dir={tmp_path}"]) == 0

@@ -17,10 +17,10 @@ from besovlab.counterexample import (
     slice_coefficients,
     tail_energy,
 )
-from besovlab.grid import Direction
+from besovlab.grid import Direction, along
 from besovlab.seminorms import v_quotient
 
-#: the scan's directional form: p = 1 quotient along the x axis
+#: the scan's directional form: p = 1 quotient of fields along the x axis
 X_AXIS = Direction((1.0, 0.0))
 from besovlab.grid import LEBESGUE, lp_norm
 
@@ -194,8 +194,8 @@ class TestDirectionalScan:
                                     shape=(129, 129))
         zero = f.with_samples(np.zeros(f.shape))
         for _, phi in default_phi_family(zero):
-            assert v_quotient(zero, phi, 1, 0.5,
-                              direction=X_AXIS).quotient == 0.0
+            assert v_quotient(zero, along(phi, X_AXIS), 1,
+                              0.5).quotient == 0.0
 
     def test_truncation_stability(self):
         spec = CounterexampleSpec(0.5, 10000)
@@ -213,7 +213,7 @@ class TestDirectionalScan:
         u = 2.0 * (y[inside] - 0.5)
         bump[inside] = np.exp(1.0 - 1.0 / (1.0 - u ** 2))
         phi = f.with_samples(-np.cos(2.0 * x) / 2.0 * bump)
-        got = v_quotient(f, phi, 1, 0.5, direction=X_AXIS).quotient
+        got = v_quotient(f, along(phi, X_AXIS), 1, 0.5).quotient
         length = interval_length(2)
         weight, _ = quad(
             lambda t: math.exp(1.0 - 1.0 / (1.0 - (2.0 * (t - 0.5)) ** 2)),
@@ -228,7 +228,7 @@ class TestDirectionalScan:
                                     shape=(129, 129))
         zero = f.with_samples(np.zeros(f.shape))
         with pytest.raises(ValueError):
-            v_quotient(f, zero, 1, 0.5, direction=X_AXIS)
+            v_quotient(f, along(zero, X_AXIS), 1, 0.5)
 
 
 class TestExport:
