@@ -29,8 +29,9 @@ from .grid import (
     coarsen,
     dual_exponent,
     lp_norm,
+    require_tag,
 )
-from .heat import default_t_grid, heat_apply, u_functional
+from .heat import default_t_grid, u_functional
 from .ou import (
     GaussianConstants,
     HermiteCoeffs,
@@ -40,6 +41,8 @@ from .ou import (
     heat_upper_constant,
     hermite_synthesize,
     ou_apply,
+    semigroup,
+    sobolev_h_norm,
     u_gamma_functional,
 )
 from .seminorms import (
@@ -114,14 +117,26 @@ def slack_from_pair(fine, coarse):
     return max(eps, SLACK_FLOOR), False
 
 
+def _graded(quantity, f, fc):
+    """quantity(f), a tuple led by the value, then the slack and informative
+    flag of the value's grid-doubling pair against quantity(fc).
+
+    f and fc are what quantity reads at the fine and the coarse level: a
+    function and its coarsen(), or something computed from each of them.
+    """
+    fine = quantity(f)
+    return (*fine, *slack_from_pair(fine[0], quantity(fc)[0]))
+
+
 def _inputs(f_name, p, alpha, **extra):
     rec = {"f": f_name, "p": float(p), "alpha": float(alpha)}
     rec.update(extra)
     return rec
 
 
-def _diff_norms(f, apply_fn, p, t_grid):
-    """||f - S_t f||_p at every grid t."""
+def _diff_norms(f, p, t_grid):
+    """||f - S_t f||_p at every grid t, S the semigroup of f's tag."""
+    apply_fn = semigroup(f)[0]
     return np.array([
         lp_norm(f.with_samples(f.samples - apply_fn(f, float(t)).samples), p)
         for t in t_grid])
@@ -131,6 +146,14 @@ def _max_ratio(diffs, weights, t_grid):
     vals = diffs / weights
     k = int(np.argmax(vals))
     return float(vals[k]), float(t_grid[k])
+
+
+def _gaussian_t_grid(f, t_grid):
+    """t_grid, or by default 16 points in 2D (where each OU pass costs the
+    most) and default_t_grid() in 1D."""
+    if t_grid is None:
+        return default_t_grid(16) if f.dim == 2 else default_t_grid()
+    return np.asarray(t_grid, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -145,24 +168,20 @@ def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
     deterministic, and they stay only for callers written against the former
     random-field search (the benchmark's lebesgue-2d workload passes them).
     """
-    if f.measure != LEBESGUE:
-        raise ValueError("Lebesgue suite needs a Lebesgue-tagged function")
+    require_tag(f, LEBESGUE, "the Lebesgue suite")
     if t_grid is None:
         t_grid = default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
     n = f.dim
     fc = coarsen(f)
 
-    est = besov_seminorm(f, p, alpha)
-    est_c = besov_seminorm(fc, p, alpha)
-    eps_b, inf_b = slack_from_pair(est.value, est_c.value)
+    seminorm, eps_b, inf_b = _graded(
+        lambda g: (besov_seminorm(g, p, alpha).value,), f, fc)
 
     witness = v_lower_bound(f, p, alpha)
 
-    u_grid = t_grid[::4]
-    u_val, u_t, _ = u_functional(f, p, alpha, u_grid)
-    u_val_c, _, _ = u_functional(fc, p, alpha, u_grid)
-    eps_u, inf_u = slack_from_pair(u_val, u_val_c)
+    u_val, u_t, _, eps_u, inf_u = _graded(
+        lambda g: u_functional(g, p, alpha, t_grid[::4]), f, fc)
 
     c_up = heat_upper_constant(n, alpha)
 
@@ -171,14 +190,14 @@ def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
         "v-upper-arm",
         "every variational quotient <= ((1+alpha)^-1 + 1) * seminorm in 1D, "
         "(E|Z|^alpha + E|Z|^(1+alpha)) * seminorm in higher dimension",
-        lhs=witness.quotient, rhs=c_up * est.value, slack=eps_b,
+        lhs=witness.quotient, rhs=c_up * seminorm, slack=eps_b,
         inputs=_inputs(f_name, p, alpha, constant=c_up,
                        witness=witness.construction),
         informative=inf_b))
     entries.append(make_entry(
         "v-lower-arm",
         "2^(alpha-1) * seminorm <= segment-integral witness quotient",
-        lhs=2.0 ** (alpha - 1.0) * est.value, rhs=witness.quotient,
+        lhs=2.0 ** (alpha - 1.0) * seminorm, rhs=witness.quotient,
         slack=WITNESS_SLACK,
         inputs=_inputs(f_name, p, alpha, witness=witness.construction),
         # both sides are grid lower bounds, so a shortfall only means the
@@ -187,16 +206,14 @@ def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
 
     c_alpha_n = abs_moment(alpha, n)
     t_weights = t_grid ** (alpha / 2.0)
-    ratio, t_star = _max_ratio(_diff_norms(f, heat_apply, p, t_grid),
-                               t_weights, t_grid)
-    ratio_c, _ = _max_ratio(_diff_norms(fc, heat_apply, p, t_grid),
-                            t_weights, t_grid)
-    eps_r, inf_r = slack_from_pair(ratio, ratio_c)
+    ratio, t_star, eps_r, inf_r = _graded(
+        lambda g: _max_ratio(_diff_norms(g, p, t_grid), t_weights, t_grid),
+        f, fc)
     entries.append(make_entry(
         "heat-smoothing-curve",
         "||f - P_t f||_p <= E|Z_n|^alpha * seminorm * t^(alpha/2) at every "
         "grid t",
-        lhs=ratio, rhs=c_alpha_n * est.value, slack=max(eps_b, eps_r),
+        lhs=ratio, rhs=c_alpha_n * seminorm, slack=max(eps_b, eps_r),
         inputs=_inputs(f_name, p, alpha, constant=c_alpha_n, t_star=t_star,
                        t_points=len(t_grid)),
         informative=inf_b or inf_r))
@@ -235,13 +252,10 @@ def v_gamma_upper_bound(f: GridFunction, p, alpha, t_grid=None):
     appearing in a restatement is smaller for alpha <= 1, so the weaker
     (larger) factor is used and recorded.
     """
-    if t_grid is None:
-        t_grid = default_t_grid(16) if f.dim == 2 else default_t_grid()
+    t_grid = _gaussian_t_grid(f, t_grid)
     cp = cp_closed_form(p)
-    u_val, _, _ = u_gamma_functional(f, p, alpha, t_grid)
-    fc = coarsen(f)
-    u_val_c, _, _ = u_gamma_functional(fc, p, alpha, t_grid)
-    eps_u, inf_u = slack_from_pair(u_val, u_val_c)
+    u_val, _, _, eps_u, inf_u = _graded(
+        lambda g: u_gamma_functional(g, p, alpha, t_grid), f, coarsen(f))
     constant = 4.0 * cp / alpha + 1.0
     return constant * u_val * (1.0 + eps_u), {
         "constant": constant,
@@ -256,11 +270,8 @@ def v_gamma_upper_bound(f: GridFunction, p, alpha, t_grid=None):
 def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
                            f_name="f"):
     """OU approximation, Poincare, chain bounds and the 1D transport bound."""
-    if f.measure != GAUSSIAN:
-        raise ValueError("Gaussian suite needs a Gaussian-tagged function")
-    if t_grid is None:
-        t_grid = default_t_grid(16) if f.dim == 2 else default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
+    require_tag(f, GAUSSIAN, "the Gaussian suite")
+    t_grid = _gaussian_t_grid(f, t_grid)
     q = dual_exponent(p)
     cp = cp_closed_form(p)
     fc = coarsen(f)
@@ -273,12 +284,10 @@ def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
     witness = v_lower_bound(f, p, alpha)
 
     entries = []
-    diffs = _diff_norms(f, ou_apply, p, t_grid)
-    diffs_c = _diff_norms(fc, ou_apply, p, t_grid)
+    diffs = (_diff_norms(f, p, t_grid), _diff_norms(fc, p, t_grid))
     ct_weights = np.asarray(GaussianConstants.ct(t_grid)) ** alpha
-    ratio, t_star = _max_ratio(diffs, ct_weights, t_grid)
-    ratio_c, _ = _max_ratio(diffs_c, ct_weights, t_grid)
-    eps_r, inf_r = slack_from_pair(ratio, ratio_c)
+    ratio, t_star, eps_r, inf_r = _graded(
+        lambda d: _max_ratio(d, ct_weights, t_grid), *diffs)
     entries.append(make_entry(
         "ou-approximation-curve",
         "||f - T_t f||_p <= 2^(1-alpha) C(p)^alpha c_t^alpha * V at every "
@@ -288,10 +297,9 @@ def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
         inputs=_inputs(f_name, p, alpha, t_star=t_star, v_upper=v_up),
         informative=inf_u or inf_r))
 
-    mean, centered = center(f)
-    lhs_poincare = lp_norm(centered, p)
-    lhs_poincare_c = lp_norm(center(fc)[1], p)
-    eps_p, inf_p = slack_from_pair(lhs_poincare, lhs_poincare_c)
+    (mean, centered), (_, centered_c) = center(f), center(fc)
+    lhs_poincare, eps_p, inf_p = _graded(lambda g: (lp_norm(g, p),),
+                                         centered, centered_c)
     entries.append(make_entry(
         "poincare",
         "||f - mean||_p <= 2^(1-2 alpha) pi^alpha C(p)^alpha * V, V from "
@@ -302,14 +310,15 @@ def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
         inputs=_inputs(f_name, p, alpha, mean=mean, v_upper=v_up),
         informative=inf_u or inf_p))
 
-    ratio_t, t_star2 = _max_ratio(diffs, t_grid ** (alpha / 2.0), t_grid)
+    ratio_t, t_star2, eps_rt, inf_rt = _graded(
+        lambda d: _max_ratio(d, t_grid ** (alpha / 2.0), t_grid), *diffs)
     entries.append(make_entry(
         "ou-small-time-gradient",
         "||f - T_t f||_p <= 4 C(p)/alpha * U_gamma * t^(alpha/2) at every "
         "grid t",
-        lhs=ratio_t, rhs=4.0 * cp / alpha * u_val, slack=max(eps_u, eps_r),
+        lhs=ratio_t, rhs=4.0 * cp / alpha * u_val, slack=max(eps_u, eps_rt),
         inputs=_inputs(f_name, p, alpha, t_star=t_star2),
-        informative=inf_u))
+        informative=inf_u or inf_rt))
 
     if q != np.inf:
         cq = cp_closed_form(q)
@@ -352,10 +361,11 @@ def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
 
 
 def certify_projection_suite(f: GridFunction, p, alpha, f_name="f"):
-    """Projection monotonicity and semigroup commutation for 2D targets."""
-    if f.dim != 2 or f.measure != GAUSSIAN:
-        raise ValueError("projection suite needs a 2D Gaussian-tagged "
-                         "function")
+    """Projection monotonicity and semigroup commutation for 2D targets.
+
+    f must be 2D and Gaussian-tagged; the first step, conditional_expectation,
+    checks both.
+    """
     g = conditional_expectation(f, kept_axis=0)
     w1 = v_lower_bound(g, p, alpha)
     v_up, chain_info = v_gamma_upper_bound(f, p, alpha)
@@ -394,7 +404,6 @@ def embedding_constant(alpha):
 
 def certify_embedding_p2(c: HermiteCoeffs, alpha, f_name="f"):
     """Witness V <= C(2, alpha) * spectral Sobolev norm (p = 2 only)."""
-    from .ou import sobolev_h_norm
     constant = embedding_constant(alpha)
     rhs = constant * sobolev_h_norm(c, alpha)
     f = hermite_synthesize(c)

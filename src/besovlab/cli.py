@@ -44,8 +44,9 @@ from .counterexample import (
     profile_to_csv,
     slice_blowup_profile,
 )
-from .grid import GAUSSIAN, LEBESGUE, Direction, GridFunction, to_csv
-from .heat import default_t_grid, u_functional
+from .grid import (GAUSSIAN, LEBESGUE, Direction, GridFunction,
+                   check_exponents, to_csv)
+from .heat import default_t_grid, gradient_supremum
 from .measures import (
     chaining_check,
     chaining_report_json,
@@ -54,10 +55,12 @@ from .measures import (
     measure_from_density,
     tv_distance,
 )
-from .ou import u_gamma_functional
+from .ou import semigroup
 from .seminorms import besov_seminorm, v_lower_bound
 
 OUTPUT_DIR_ENV = "BESOVLAB_OUTPUT_DIR"
+#: the 1D functions of the "default" corpus of every command
+DEFAULT_CORPUS_1D = LEBESGUE_CORPUS_1D + GAUSSIAN_CORPUS_1D[1:4]
 
 
 class ConfigError(Exception):
@@ -169,10 +172,10 @@ def validate(config: RunConfig):
         if not getattr(config, name):
             raise ConfigError(f"{name}: empty list")
     for p, a in config.pairs:
-        if not p >= 1.0:
-            raise ConfigError(f"pairs: p = {p:g} must be >= 1")
-        if not 0.0 < a <= 1.0:
-            raise ConfigError(f"pairs: alpha = {a:g} must lie in (0, 1]")
+        try:
+            check_exponents(p, a)
+        except ValueError as exc:
+            raise ConfigError(f"pairs: p = {p:g}, alpha = {a:g}: {exc}")
     for name, value in (("shape1d", config.shape1d),
                         ("shape2d", config.shape2d)):
         if value < 9:
@@ -228,8 +231,7 @@ def _stem(name):
 def run_corpus(config: RunConfig) -> int:
     out = output_dir(config)
     names = []
-    default_names = LEBESGUE_CORPUS_1D + GAUSSIAN_CORPUS_1D[1:4]
-    for name, f in _resolve_corpus(config, default_names):
+    for name, f in _resolve_corpus(config, DEFAULT_CORPUS_1D):
         to_csv(f, out / f"{_stem(name)}.csv")
         names.append(_stem(name))
     _write_manifest(out / "corpus_manifest.json", config, {"files": names})
@@ -240,12 +242,15 @@ def run_seminorm(config: RunConfig) -> int:
     out = output_dir(config)
     rows = []
     for name, f in _resolve_corpus(config, LEBESGUE_CORPUS_1D):
+        if f.measure != LEBESGUE:
+            raise ConfigError(f"corpus: {name} is Gaussian-tagged; shift "
+                              "seminorms need a Lebesgue-tagged function")
         for p, alpha in config.pairs:
             est = besov_seminorm(f, p, alpha)
             row = {"function": name, "p": p, "alpha": alpha,
                    "value": est.value, "witness_h": list(est.witness_h),
                    "cap_limited": est.cap_limited}
-            if est.value > 0.0 and f.measure == LEBESGUE:
+            if est.value > 0.0:
                 witness = v_lower_bound(f, p, alpha)
                 row["v_witness_quotient"] = witness.quotient
             rows.append(row)
@@ -257,16 +262,13 @@ def run_semigroup(config: RunConfig) -> int:
     out = output_dir(config)
     t_grid = default_t_grid(config.t_points)
     summary = []
-    default_names = LEBESGUE_CORPUS_1D + GAUSSIAN_CORPUS_1D[1:4]
-    for name, f in _resolve_corpus(config, default_names):
+    for name, f in _resolve_corpus(config, DEFAULT_CORPUS_1D):
+        gradient = semigroup(f)[1]
+        # the curve kind is the name of the semigroup's module: heat or ou
+        kind = gradient.__module__.rsplit(".", 1)[-1]
         for p, alpha in config.pairs:
-            if f.measure == GAUSSIAN:
-                value, t_star, curve = u_gamma_functional(f, p, alpha,
-                                                          t_grid)
-                kind = "ou"
-            else:
-                value, t_star, curve = u_functional(f, p, alpha, t_grid)
-                kind = "heat"
+            value, t_star, curve = gradient_supremum(gradient, f, p, alpha,
+                                                     t_grid)
             # reals as in the echo, so distinct pairs get distinct files
             stem = f"{_stem(name)}_{kind}_p{_real(p)}_a{_real(alpha)}"
             path = out / f"{stem}.csv"
@@ -289,11 +291,10 @@ def run_certify(config: RunConfig) -> int:
             raise ConfigError(f"{name}: certify needs an odd point count, "
                               f"got {getattr(config, name)}")
     out = output_dir(config)
-    default_names = (LEBESGUE_CORPUS_1D + GAUSSIAN_CORPUS_1D[1:4]
-                     + GAUSSIAN_CORPUS_2D)
     t_grid = default_t_grid(config.t_points)
     entries = []
-    for name, f in _resolve_corpus(config, default_names):
+    for name, f in _resolve_corpus(config,
+                                   DEFAULT_CORPUS_1D + GAUSSIAN_CORPUS_2D):
         if f.measure == GAUSSIAN and f.dim == 2:
             p, alpha = config.pairs[0]
             entries.extend(certify_projection_suite(f, p, alpha, f_name=name))

@@ -12,14 +12,9 @@ import re
 
 import numpy as np
 
-from .grid import (EDGE_TOLERANCE, GAUSSIAN, LEBESGUE, Grid, GridFunction,
-                   edge_ratio)
+from .grid import (DEFAULT_GRIDS, EDGE_TOLERANCE, GAUSSIAN, LEBESGUE, Grid,
+                   GridFunction, edge_ratio)
 from .ou import hermite_matrix
-
-DEFAULT_BOUNDS_1D = ((-8.0, 8.0),)
-DEFAULT_SHAPE_1D = (4097,)
-DEFAULT_BOUNDS_2D = ((-8.0, 8.0), (-8.0, 8.0))
-DEFAULT_SHAPE_2D = (513, 513)
 
 #: octave count of the truncated lacunary-cosine corpus function
 WEIERSTRASS_OCTAVES = 10
@@ -61,7 +56,8 @@ def parse_name(name):
 
 
 def build_corpus(name, bounds=None, shape=None) -> GridFunction:
-    """Build a corpus function by name on the given (or default) grid.
+    """Build a corpus function by name on the given (or the dimension's
+    default, grid.DEFAULT_GRIDS) grid.
 
     1D Lebesgue: zero, indicator, hat, bump, weierstrass(alpha)
     1D Gaussian: hermite(n)
@@ -70,11 +66,10 @@ def build_corpus(name, bounds=None, shape=None) -> GridFunction:
     """
     base, args = parse_name(name)
     two_d = base.endswith("2d")
-    if bounds is None:
-        bounds = DEFAULT_BOUNDS_2D if two_d else DEFAULT_BOUNDS_1D
-    if shape is None:
-        shape = DEFAULT_SHAPE_2D if two_d else DEFAULT_SHAPE_1D
-    grid = Grid(bounds, shape)
+    default = DEFAULT_GRIDS[2 if two_d else 1]
+    grid = Grid(default.bounds if bounds is None else bounds,
+                default.shape if shape is None else shape)
+    bounds = grid.bounds
     axes = grid.axes()
 
     if not two_d:

@@ -27,6 +27,13 @@ class MeasureMismatchError(ValueError):
     """Operation invoked on a function with the wrong measure tag."""
 
 
+def require_tag(f, measure, what):
+    """The one tag check: f (a function or a field) carries the measure tag
+    that `what` needs."""
+    if f.measure != measure:
+        raise MeasureMismatchError(f"{what} requires the {measure} tag")
+
+
 class GridGeometry:
     """Uniform node grid over a box, shared by grid functions and measures.
 
@@ -78,6 +85,12 @@ class Grid(GridGeometry):
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         self._check_geometry()
+
+
+#: the default grid of each dimension: the box [-8, 8]^dim, 4097 nodes in 1D
+#: and 513^2 in 2D
+DEFAULT_GRIDS = {1: Grid(((-8.0, 8.0),), (4097,)),
+                 2: Grid(((-8.0, 8.0), (-8.0, 8.0)), (513, 513))}
 
 
 @dataclass(frozen=True)
@@ -159,6 +172,15 @@ def lp_norm(f: GridFunction, p) -> float:
         raise ValueError("p must be >= 1 or inf")
     w = quad_weights(f)
     return float(np.sum(w * np.abs(f.samples) ** p) ** (1.0 / p))
+
+
+def check_exponents(p, alpha):
+    """The admissible (p, alpha) of every functional: p >= 1 or inf, and
+    0 < alpha <= 1."""
+    if not (p == np.inf or float(p) >= 1.0):
+        raise ValueError("p must be >= 1 or inf")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
 
 
 def dual_exponent(p) -> float:
@@ -276,8 +298,7 @@ def shift(f: GridFunction, h) -> GridFunction:
     extension cannot silently lose mass of the compactly supported corpus
     functions.
     """
-    if f.measure != LEBESGUE:
-        raise MeasureMismatchError("shift requires the Lebesgue tag")
+    require_tag(f, LEBESGUE, "shift")
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.shape != (f.dim,):
         raise ValueError("shift vector dimension mismatch")
@@ -326,8 +347,7 @@ def divergence(phi: VectorFieldGrid) -> GridFunction:
 
 def divergence_gamma(phi: VectorFieldGrid) -> GridFunction:
     """div Phi - sum_i x_i Phi_i, the Gaussian adjoint of the gradient."""
-    if phi.measure != GAUSSIAN:
-        raise MeasureMismatchError("divergence_gamma requires the Gaussian tag")
+    require_tag(phi, GAUSSIAN, "divergence_gamma")
     div = divergence(phi).samples
     xs = phi.components[0].meshgrid()
     for x, comp in zip(xs, phi.components):

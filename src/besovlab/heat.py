@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .grid import LEBESGUE, GridFunction, MeasureMismatchError, VectorFieldGrid, lp_norm
+from .grid import (LEBESGUE, GridFunction, VectorFieldGrid, check_exponents,
+                   lp_norm, require_tag)
 
 #: kernel truncation radius in units of sqrt(t); tail mass below 1e-15
 KERNEL_RADIUS_SIGMAS = 8.0
@@ -56,9 +57,9 @@ def _kernel_offsets(t, dx, n):
     return np.arange(-radius, radius + 1) * dx
 
 
-def _check_heat_args(f, t):
-    if f.measure != LEBESGUE:
-        raise MeasureMismatchError("heat semigroup requires the Lebesgue tag")
+def check_semigroup_args(f, t, measure):
+    """The arguments of a semigroup of `measure`: f carries its tag, t > 0."""
+    require_tag(f, measure, "this semigroup")
     if not t > 0:
         raise ValueError("t must be positive")
 
@@ -83,7 +84,7 @@ def _axis_kernel(t, dx, n):
 
 def heat_apply(f: GridFunction, t: float) -> GridFunction:
     """Convolution with the variance-t Gaussian kernel (zero extension)."""
-    _check_heat_args(f, t)
+    check_semigroup_args(f, t, LEBESGUE)
     out = f.samples
     for axis in range(f.dim):
         _, kernel = _axis_kernel(t, f.dx[axis], f.shape[axis])
@@ -93,7 +94,7 @@ def heat_apply(f: GridFunction, t: float) -> GridFunction:
 
 def heat_gradient(f: GridFunction, t: float) -> VectorFieldGrid:
     """Gradient of P_t f, by convolving with the kernel gradient."""
-    _check_heat_args(f, t)
+    check_semigroup_args(f, t, LEBESGUE)
     comps = []
     for comp_axis in range(f.dim):
         out = f.samples
@@ -113,10 +114,7 @@ def gradient_supremum(grad, f, p, alpha, t_grid=None):
     The loop shared by the heat and OU functionals.  Returns (value, argmax
     t, SemigroupCurve).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if p != np.inf and not 1.0 <= float(p):
-        raise ValueError("p must be >= 1")
+    check_exponents(p, alpha)
     if t_grid is None:
         t_grid = default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)

@@ -15,6 +15,10 @@ node x grid-point block takes K*n*m*8 bytes on an n x m grid, about 36 MB at
 in 2D, the axis-0 pass being shared by both components.  The conditional
 expectation takes the points y and the weights w; the Hermite transform
 contracts each axis in turn with the rows H_n(y) w, in any dimension.
+
+semigroup(f) returns (S_t, grad S_t) of f's measure tag, OU or heat; it is
+the only place that makes this choice.
+
 Spectral route: the eigenrelation "degree-n coefficient decays like
 exp(-n t)", derived from the Mehler kernel; it is gated on the
 quadrature-agreement test before any certificate relies on it.
@@ -30,15 +34,16 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import make_interp_spline
 
+from . import heat
 from .grid import (
+    DEFAULT_GRIDS,
     GAUSSIAN,
     Grid,
     GridFunction,
-    MeasureMismatchError,
     VectorFieldGrid,
     lp_norm,
+    require_tag,
 )
-from .heat import gradient_supremum
 
 GH_NODES = 128
 #: Gauss-Hermite nodes lighter than this fraction of the heaviest weight are
@@ -47,8 +52,8 @@ GH_NODES = 128
 #: evaluate at the nodes themselves read zero there anyway
 GH_PRUNE_WEIGHT = 1e-20
 SPLINE_DEGREE = 5
-HERMITE_TRUNCATION_1D = 64
-HERMITE_TRUNCATION_2D = 32
+#: default Hermite degree of the transform in each dimension
+HERMITE_TRUNCATION = {1: 64, 2: 32}
 
 
 @functools.cache
@@ -80,13 +85,6 @@ def hermite_matrix(degree, y):
         out[n + 1] = y * out[n] - n * out[n - 1]
     norms = np.array([math.sqrt(math.factorial(n)) for n in range(degree + 1)])
     return out / norms[:, None]
-
-
-def _check_ou_args(f, t):
-    if f.measure != GAUSSIAN:
-        raise MeasureMismatchError("OU semigroup requires the Gaussian tag")
-    if not t > 0:
-        raise ValueError("t must be positive")
 
 
 def _gauss_average(samples, x, axis, pts, weights):
@@ -127,7 +125,7 @@ def _ou_axis_average(f: GridFunction, axis, t):
 
 def ou_apply(f: GridFunction, t: float) -> GridFunction:
     """T_t f by tensorized Gauss-Hermite quadrature of the Mehler average."""
-    _check_ou_args(f, t)
+    heat.check_semigroup_args(f, t, GAUSSIAN)
     out = f
     for axis in range(f.dim):
         out = out.with_samples(_ou_axis_average(out, axis, t)[0])
@@ -140,7 +138,7 @@ def ou_gradient(f: GridFunction, t: float) -> VectorFieldGrid:
     Component i weights the average along axis i by y and the other axis
     plainly; in 2D both components share the axis-0 pass.
     """
-    _check_ou_args(f, t)
+    heat.check_semigroup_args(f, t, GAUSSIAN)
     factor = math.exp(-t) / math.sqrt(1.0 - math.exp(-2.0 * t))
     plain, weighted = _ou_axis_average(f, 0, t)
     if f.dim == 1:
@@ -151,6 +149,19 @@ def ou_gradient(f: GridFunction, t: float) -> VectorFieldGrid:
     return VectorFieldGrid(tuple(f.with_samples(factor * c) for c in comps))
 
 
+def semigroup(f: GridFunction):
+    """(S_t, grad S_t) of f's measure tag: the OU semigroup T_t for a
+    Gaussian tag, the heat semigroup P_t for a Lebesgue one.
+
+    The one place that picks the semigroup of a tag.  The functions are read
+    from the module globals at each call, so a wrapper installed on
+    ou.ou_apply or heat.heat_apply (a tracer, a test) sees these calls too.
+    """
+    if f.measure == GAUSSIAN:
+        return ou_apply, ou_gradient
+    return heat.heat_apply, heat.heat_gradient
+
+
 def ou_field(phi: VectorFieldGrid, t: float) -> VectorFieldGrid:
     """Componentwise OU semigroup on a vector field."""
     return VectorFieldGrid(tuple(ou_apply(c, t) for c in phi.components))
@@ -158,15 +169,14 @@ def ou_field(phi: VectorFieldGrid, t: float) -> VectorFieldGrid:
 
 def u_gamma_functional(f: GridFunction, p, alpha, t_grid=None):
     """Grid supremum of t^((1-alpha)/2) ||grad T_t f||_p (lower bound)."""
-    return gradient_supremum(ou_gradient, f, p, alpha, t_grid)
+    return heat.gradient_supremum(ou_gradient, f, p, alpha, t_grid)
 
 
 def conditional_expectation(f: GridFunction, kept_axis: int) -> GridFunction:
     """Gaussian average over the dropped axis of a 2D function."""
     if f.dim != 2:
         raise ValueError("conditional expectation needs a 2D function")
-    if f.measure != GAUSSIAN:
-        raise MeasureMismatchError("conditional expectation requires the Gaussian tag")
+    require_tag(f, GAUSSIAN, "conditional expectation")
     dropped = 1 - kept_axis
     y, w = gauss_hermite()
     vals = _gauss_average(f.samples, f.axes()[dropped], dropped, y, w[None])
@@ -214,10 +224,9 @@ class HermiteCoeffs:
 def hermite_transform(f: GridFunction, degree=None) -> HermiteCoeffs:
     """Project a Gaussian-tagged grid function on the Hermite basis, one
     Gauss-Hermite contraction per axis."""
-    if f.measure != GAUSSIAN:
-        raise MeasureMismatchError("hermite transform requires the Gaussian tag")
+    require_tag(f, GAUSSIAN, "hermite transform")
     if degree is None:
-        degree = HERMITE_TRUNCATION_1D if f.dim == 1 else HERMITE_TRUNCATION_2D
+        degree = HERMITE_TRUNCATION[f.dim]
     y, w = gauss_hermite()
     weights = hermite_matrix(degree, y) * w
     coeffs = f.samples
@@ -230,18 +239,15 @@ def hermite_transform(f: GridFunction, degree=None) -> HermiteCoeffs:
 
 def hermite_synthesize(c: HermiteCoeffs, bounds=None, shape=None) -> GridFunction:
     """Evaluate a Hermite series on a grid (Gaussian tag)."""
-    from .corpus import (DEFAULT_BOUNDS_1D, DEFAULT_BOUNDS_2D,
-                         DEFAULT_SHAPE_1D, DEFAULT_SHAPE_2D)
-    if bounds is None:
-        bounds = DEFAULT_BOUNDS_1D if c.dim == 1 else DEFAULT_BOUNDS_2D
-    if shape is None:
-        shape = DEFAULT_SHAPE_1D if c.dim == 1 else DEFAULT_SHAPE_2D
+    grid = DEFAULT_GRIDS[c.dim]
+    grid = Grid(grid.bounds if bounds is None else bounds,
+                grid.shape if shape is None else shape)
     # each step contracts the leading coefficient axis and appends its grid
     # axis, so after dim steps the axes are back in order
     out = c.coeffs
-    for x, n in zip(Grid(bounds, shape).axes(), c.coeffs.shape):
+    for x, n in zip(grid.axes(), c.coeffs.shape):
         out = np.tensordot(out, hermite_matrix(n - 1, x), axes=(0, 0))
-    return GridFunction(bounds, out, GAUSSIAN)
+    return GridFunction(grid.bounds, out, GAUSSIAN)
 
 
 def ou_apply_spectral(c: HermiteCoeffs, t: float) -> HermiteCoeffs:

@@ -34,6 +34,7 @@ from .grid import (
     VectorFieldGrid,
     along,
     center,
+    check_exponents,
     divergence,
     divergence_gamma,
     dual_exponent,
@@ -43,11 +44,11 @@ from .grid import (
     inner,
     lp_norm,
     quad_weights,
+    require_tag,
     shift,
     shift_cap,
 )
-from .heat import heat_apply, heat_gradient
-from .ou import ou_apply, ou_gradient
+from .ou import semigroup
 
 DEFAULT_SHIFT_COUNT = 40
 MOLLIFIER_WIDTH_CELLS = 2.0
@@ -137,8 +138,8 @@ def _estimate(f, p, alpha, shifts):
 
 def besov_seminorm(f: GridFunction, p, alpha, h_grid=None) -> BesovEstimate:
     """Grid supremum of the shift quotient (a certified lower bound)."""
-    if f.measure != LEBESGUE:
-        raise ValueError("shift seminorms need a Lebesgue-tagged function")
+    check_exponents(p, alpha)
+    require_tag(f, LEBESGUE, "a shift seminorm")
     if h_grid is None:
         mags = default_shift_magnitudes(f)
         h_grid = [m * np.asarray(e.e) for e in _default_directions(f.dim)
@@ -192,8 +193,7 @@ def v_quotient(f: GridFunction, field: VectorFieldGrid, p, alpha,
     The divergence flavor follows f's measure tag; the directional form is
     the field psi * e built by grid.along.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    check_exponents(p, alpha)
     q = dual_exponent(p)
     if not field.components[0].same_grid(f):
         raise ValueError("test field must share f's grid")
@@ -278,8 +278,7 @@ def psi_witness(f: GridFunction, h: float, axis: int, p, alpha) -> QuotientWitne
     psi * e_axis.  Realizes at least 2^(alpha-1) |h|^(-alpha) ||f_h - f||_p up
     to mollification error.
     """
-    if f.measure != LEBESGUE:
-        raise ValueError("the segment-integral witness needs a Lebesgue tag")
+    require_tag(f, LEBESGUE, "the segment-integral witness")
     vec = np.zeros(f.dim)
     vec[axis] = h
     g = f.with_samples(shift(f, vec).samples - f.samples)
@@ -293,18 +292,17 @@ def psi_witness(f: GridFunction, h: float, axis: int, p, alpha) -> QuotientWitne
 def semigroup_witness(f: GridFunction, t: float, p, alpha) -> QuotientWitness:
     """The semigroup-integral witness at time t.
 
-    S is the heat semigroup for Lebesgue targets and the OU semigroup for
-    Gaussian ones.  With phi the near-dual-optimal function of S_t f - f,
-    the field v = int_0^t grad S_s phi ds has div v = c (S_t phi - phi)
-    (c = 2 for heat, whose kernel has variance t; 1 for OU), so
-    <div v, f> = c <phi, S_t f - f>.  In 1D v is that exact solution,
-    rho^-1 int (S_t phi - phi) rho with rho = 1 or the Gaussian density,
-    taken from the nearer end of the box after removing the rho-mean; in 2D
-    the integral runs over u = sqrt(s) on SEMIGROUP_NODES Gauss-Legendre
-    nodes.
+    S is the semigroup of f's tag (ou.semigroup): heat for Lebesgue targets,
+    OU for Gaussian ones.  With phi the near-dual-optimal function of
+    S_t f - f, the field v = int_0^t grad S_s phi ds has
+    div v = c (S_t phi - phi) (c = 2 for heat, whose kernel has variance t;
+    1 for OU), so <div v, f> = c <phi, S_t f - f>.  In 1D v is that exact
+    solution, rho^-1 int (S_t phi - phi) rho with rho = 1 or the Gaussian
+    density, taken from the nearer end of the box after removing the
+    rho-mean; in 2D the integral runs over u = sqrt(s) on SEMIGROUP_NODES
+    Gauss-Legendre nodes.
     """
-    apply_fn, grad = ((ou_apply, ou_gradient) if f.measure == GAUSSIAN
-                      else (heat_apply, heat_gradient))
+    apply_fn, grad = semigroup(f)
     phi = _dual_optimal(f.with_samples(apply_fn(f, t).samples - f.samples), p)
     if f.dim == 1:
         rho = gaussian_density(f) if f.measure == GAUSSIAN else np.ones(f.shape)
@@ -336,6 +334,7 @@ def v_lower_bound(f: GridFunction, p, alpha) -> QuotientWitness:
     (grid.edge_ratio within EDGE_TOLERANCE); others are skipped.  Gaussian
     fields are not cut.  Deterministic: no random search, no seed.
     """
+    check_exponents(p, alpha)
     attempts = []
     if f.measure == LEBESGUE:
         attempts = [partial(psi_witness, f, float(h), axis, p, alpha)
@@ -381,8 +380,7 @@ def kantorovich_norm_1d(f: GridFunction) -> float:
     """
     if f.dim != 1:
         raise ValueError("the closed form is one-dimensional")
-    if f.measure != GAUSSIAN:
-        raise ValueError("Kantorovich norm requires the Gaussian tag")
+    require_tag(f, GAUSSIAN, "the Kantorovich norm")
     mean = center(f)[0]
     if abs(mean) > 1e-8:
         raise ValueError(f"input must have zero Gaussian mean (got {mean:.3g})")

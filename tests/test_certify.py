@@ -28,9 +28,11 @@ from besovlab.grid import (
 )
 from besovlab.heat import default_t_grid
 from besovlab.ou import (
+    GaussianConstants,
     cp_closed_form,
     hermite_matrix,
     hermite_transform,
+    ou_apply,
     ou_field,
     ou_gradient,
     u_gamma_functional,
@@ -167,6 +169,39 @@ class TestGaussianSuite:
         u1_c = u_gamma_functional(coarsen(f), 1, 0.5, t_grid)[0]
         assert e.slack == slack_from_pair(u1, u1_c)[0]
         assert e.slack == pytest.approx(1.2208e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("n, p, samples", [
+        (65, 1, lambda x: hermite_matrix(4, x)[1] + hermite_matrix(4, x)[4]),
+        (33, 2, lambda x: np.maximum(x, 0.0)),
+    ], ids=["h1+h4", "relu"])
+    def test_small_time_slack_from_its_own_ratio(self, n, p, samples):
+        # the t^(alpha/2) ratio and the c_t^alpha ratio of the approximation
+        # curve peak at different t here (0.3 and 30), so their grid-doubling
+        # pairs differ; the small-time entry takes the slack and the
+        # informative flag of its own ratio, like heat-small-time-gradient
+        x = np.linspace(-8.0, 8.0, n)
+        f = GridFunction(((-8.0, 8.0),), samples(x), GAUSSIAN)
+        t_grid = np.array([0.3, 30.0])
+        entries = certify_gaussian_suite(f, p, 1.0, t_grid=t_grid)
+        byname = {e.name: e for e in entries}
+        chain = byname["v-le-u-gamma"]
+        pairs = {}
+        for label, weights in (("t", np.sqrt(t_grid)),
+                               ("ct", GaussianConstants.ct(t_grid))):
+            ratios = []
+            for g in (f, coarsen(f)):
+                diffs = [lp_norm(g.with_samples(g.samples
+                                                - ou_apply(g, t).samples), p)
+                         for t in t_grid]
+                ratios.append(np.max(np.array(diffs) / weights))
+            pairs[label] = slack_from_pair(*ratios)
+        assert pairs["t"] != pairs["ct"]
+        e = byname["ou-small-time-gradient"]
+        assert e.slack == pytest.approx(max(chain.slack, pairs["t"][0]),
+                                        rel=1e-12)
+        assert e.slack != pytest.approx(max(chain.slack, pairs["ct"][0]),
+                                        rel=1e-6)
+        assert e.informative == (chain.informative or pairs["t"][1])
 
     def test_constant_centers_to_zero(self):
         # the box holds 1 - 1.2e-15 of the Gaussian mass; centering under the

@@ -132,6 +132,15 @@ class TestExitCodes:
         assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "certificates.json").exists()
 
+    def test_gaussian_name_to_seminorm_is_2(self, tmp_path, capsys):
+        # shift seminorms are Lebesgue-only: a Gaussian corpus name is a
+        # configuration error, not an internal one, and writes no results
+        assert main(["seminorm", "corpus=hat,hermite(1)",
+                     f"output_dir={tmp_path}"]) == 2
+        err = capsys.readouterr().err
+        assert "corpus: hermite(1)" in err and "Traceback" not in err
+        assert not (tmp_path / "seminorms.json").exists()
+
     def test_internal_error_is_3(self, tmp_path, capsys, monkeypatch):
         def broken_suite(*args, **kwargs):
             raise RuntimeError("suite exploded")

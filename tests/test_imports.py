@@ -1,0 +1,44 @@
+"""Static import hygiene of the package, read with the standard library's
+ast: outside __init__ (which re-exports), every module-level import is used
+and no import hides inside a function, where it would mask an import cycle.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "besovlab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _bound_names(node):
+    """Names a module-level import binds (import a.b binds a)."""
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [a.asname or a.name for a in node.names]
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    tree = _tree(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = [f"{name} (line {node.lineno})" for node in tree.body
+              for name in _bound_names(node) if name not in used]
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    tree = _tree(path)
+    top = {id(node) for node in tree.body}
+    local = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and id(node) not in top]
+    assert not local, f"{path.name}: imports inside a block at lines {local}"

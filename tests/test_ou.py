@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.interpolate import RectBivariateSpline, make_interp_spline
 from scipy.optimize import minimize_scalar
 
+from besovlab import heat, ou
+from besovlab.certify import certify_gaussian_suite, certify_lebesgue_suite
 from besovlab.corpus import build_corpus
 from besovlab.grid import (
     GAUSSIAN,
@@ -34,10 +36,13 @@ from besovlab.ou import (
     ou_apply,
     ou_apply_spectral,
     ou_gradient,
+    semigroup,
     sobolev_h_norm,
     u_gamma_functional,
     _ou_axis_average,
 )
+from besovlab.heat import default_t_grid
+from besovlab.seminorms import semigroup_witness
 
 WIDE_BOUNDS = ((-16.0, 16.0),)
 WIDE_SHAPE = (16385,)
@@ -496,3 +501,44 @@ class TestConstants:
         assert c.Cp == pytest.approx(1.0, abs=1e-10)
         expect = 2.0 ** 0.25 * math.gamma(0.75) / math.gamma(0.5)
         assert c.c_alpha_n == pytest.approx(expect, rel=1e-12)
+
+
+class TestSemigroupDispatch:
+    def test_semigroup_of_each_tag(self):
+        assert semigroup(build_corpus("hermite(1)", shape=(65,))) == \
+            (ou.ou_apply, ou.ou_gradient)
+        assert semigroup(build_corpus("hat", shape=(65,))) == \
+            (heat.heat_apply, heat.heat_gradient)
+
+    def test_calls_reach_wrapped_module_attributes(self, monkeypatch):
+        # a tracer wraps ou.ou_apply, heat.heat_apply and heat.heat_gradient
+        # where the modules bind them; the dispatch must read them there at
+        # call time, not hold the function objects it saw at import
+        calls = {}
+        for module, name in ((ou, "ou_apply"), (heat, "heat_apply"),
+                             (heat, "heat_gradient")):
+            def counting(*args, _fn=getattr(module, name), _name=name,
+                         **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+
+        def called(run):
+            calls.clear()
+            run()
+            return set(calls)
+
+        hat = build_corpus("hat", shape=(129,))
+        bump2d = build_corpus("bump2d", shape=(33, 33))
+        h2 = build_corpus("hermite(2)", shape=(129,))
+        t_grid = default_t_grid(4)
+        assert called(lambda: semigroup_witness(hat, 0.1, 2, 0.5)) == \
+            {"heat_apply"}
+        assert called(lambda: semigroup_witness(bump2d, 0.1, 2, 0.5)) == \
+            {"heat_apply", "heat_gradient"}
+        assert called(lambda: semigroup_witness(h2, 0.1, 2, 0.5)) == \
+            {"ou_apply"}
+        assert called(lambda: certify_lebesgue_suite(
+            hat, 2, 0.5, t_grid=t_grid)) == {"heat_apply", "heat_gradient"}
+        assert called(lambda: certify_gaussian_suite(
+            h2, 2, 0.5, t_grid=t_grid)) == {"ou_apply"}

@@ -22,6 +22,7 @@ from besovlab.grid import (
     edge_ratio,
     shift_cap,
 )
+from besovlab.heat import u_functional
 from besovlab.seminorms import (
     BesovEstimate,
     besov_seminorm,
@@ -309,6 +310,27 @@ def test_besov_seminorm_translation_covariant(name, p, alpha, data):
     assert got.value == pytest.approx(base.value, rel=1e-12)
     assert shift_quotient(f, got.witness_h, p, alpha) == pytest.approx(
         base.value, rel=1e-12)
+
+
+#: the public entries that take (p, alpha), as entry(f, p, alpha)
+EXPONENT_ENTRIES = {
+    "besov_seminorm": besov_seminorm,
+    "v_lower_bound": v_lower_bound,
+    "u_functional": u_functional,
+    "v_quotient": lambda f, p, alpha: v_quotient(f, VectorFieldGrid((f,)),
+                                                 p, alpha),
+}
+
+
+@pytest.mark.parametrize("p, alpha", [(1, 0.0), (0.5, 0.5), (1, 1.5),
+                                      (math.nan, 0.5), (1, math.nan)])
+@pytest.mark.parametrize("entry", EXPONENT_ENTRIES.values(),
+                         ids=EXPONENT_ENTRIES.keys())
+def test_inadmissible_exponents_rejected(entry, p, alpha):
+    # one rule at every public entry: p >= 1 or inf, 0 < alpha <= 1; the
+    # witness search used to swallow the error and report no witness
+    with pytest.raises(ValueError, match="p must be|alpha must"):
+        entry(build_corpus("hat", shape=(1025,)), p, alpha)
 
 
 class TestKantorovich:
