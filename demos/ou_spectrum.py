@@ -15,7 +15,8 @@ from besovlab import build_corpus, hermite_transform, ou_apply
 from besovlab.grid import GridFunction, lp_norm
 from besovlab.ou import (
     GaussianConstants,
-    constants,
+    abs_moment,
+    cp_closed_form,
     hermite_synthesize,
     ou_apply_spectral,
 )
@@ -40,9 +41,8 @@ def main():
         if abs(c) > 1e-4:
             print(f"  n={n}: {c:.6f}")
 
-    bundle = constants(2.0, 0.5, 1)
-    print(f"\nGaussian constants at p=2, alpha=1/2, n=1: C(p)={bundle.Cp}, "
-          f"c_alpha_n={bundle.c_alpha_n:.6f}")
+    print(f"\nGaussian constants at p=2, alpha=1/2, n=1: "
+          f"C(p)={cp_closed_form(2.0)}, c_alpha_n={abs_moment(0.5, 1):.6f}")
     print("c_t = arccos(e^(-t)) against the sqrt(2t) envelope:")
     for t in (0.01, 0.1, 1.0, 10.0):
         print(f"  t={t}: c_t={GaussianConstants.ct(t):.6f} "

@@ -24,6 +24,7 @@ from . import __version__
 from .grid import (
     GAUSSIAN,
     LEBESGUE,
+    ZERO_MEAN_TOLERANCE,
     GridFunction,
     center,
     coarsen,
@@ -180,7 +181,7 @@ def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
 
     witness = v_lower_bound(f, p, alpha)
 
-    u_val, u_t, _, eps_u, inf_u = _graded(
+    u_val, _, _, eps_u, inf_u = _graded(
         lambda g: u_functional(g, p, alpha, t_grid[::4]), f, fc)
 
     c_up = heat_upper_constant(n, alpha)
@@ -196,7 +197,8 @@ def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
         informative=inf_b))
     entries.append(make_entry(
         "v-lower-arm",
-        "2^(alpha-1) * seminorm <= segment-integral witness quotient",
+        "2^(alpha-1) * seminorm <= witness quotient, the best of the "
+        "segment-integral and semigroup-integral constructions",
         lhs=2.0 ** (alpha - 1.0) * seminorm, rhs=witness.quotient,
         slack=WITNESS_SLACK,
         inputs=_inputs(f_name, p, alpha, witness=witness.construction),
@@ -223,7 +225,7 @@ def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
         "grid t",
         lhs=ratio, rhs=4.0 / alpha * math.sqrt(n) * u_val,
         slack=max(eps_u, eps_r),
-        inputs=_inputs(f_name, p, alpha, t_star=u_t),
+        inputs=_inputs(f_name, p, alpha, t_star=t_star),
         informative=inf_u or inf_r))
     entries.append(make_entry(
         "u-le-v",
@@ -336,7 +338,7 @@ def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
         inputs=_inputs(f_name, p, alpha), informative=inf_u))
 
     if f.dim == 1:
-        target = centered if abs(mean) > 1e-8 else f
+        target = centered if abs(mean) > ZERO_MEAN_TOLERANCE else f
         if p == 1 and target is f:
             v_up_1, chain_1 = v_up, chain
         else:

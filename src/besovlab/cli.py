@@ -35,7 +35,7 @@ from .corpus import (
     GAUSSIAN_CORPUS_2D,
     LEBESGUE_CORPUS_1D,
     build_corpus,
-    parse_name,
+    name_dim,
 )
 from .counterexample import (
     CounterexampleSpec,
@@ -44,12 +44,11 @@ from .counterexample import (
     profile_to_csv,
     slice_blowup_profile,
 )
-from .grid import (GAUSSIAN, LEBESGUE, Direction, GridFunction,
-                   check_exponents, to_csv)
+from .grid import (DEFAULT_GRIDS, GAUSSIAN, LEBESGUE, Direction,
+                   GridFunction, check_exponents, to_csv)
 from .heat import default_t_grid, gradient_supremum
 from .measures import (
     chaining_check,
-    chaining_report_json,
     conditional_slices,
     holder_profile,
     measure_from_density,
@@ -77,7 +76,7 @@ class RunConfig:
 
     corpus: tuple = ("default",)
     pairs: tuple = ((1.0, 1.0), (2.0, 0.5))
-    shape1d: int = 4097
+    shape1d: int = DEFAULT_GRIDS[1].shape[0]
     shape2d: int = 257
     t_points: int = 16
     seed: int = 20240
@@ -204,11 +203,11 @@ def _resolve_corpus(config: RunConfig, default_names):
     "default" stands for default_names."""
     names = default_names if config.corpus == ("default",) else config.corpus
     out = []
+    shapes = {1: (config.shape1d,), 2: (config.shape2d, config.shape2d)}
     for name in names:
-        shape = ((config.shape2d, config.shape2d)
-                 if parse_name(name)[0].endswith("2d") else (config.shape1d,))
         try:
-            out.append((name, build_corpus(name, shape=shape)))
+            out.append((name, build_corpus(name,
+                                           shape=shapes[name_dim(name)])))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"corpus: {exc}")
     return out
@@ -285,16 +284,21 @@ def run_certify(config: RunConfig) -> int:
     """Certify each function with the suite matching its measure tag and
     dimension: Lebesgue (1D or 2D), Gaussian 1D, or the 2D projection
     suite, which runs the first pair only.  The discretization slack
-    coarsens each grid by two, so both point counts must be odd."""
+    coarsens each grid by two, so both point counts must be odd.  A Gaussian
+    function takes no p = inf pair: its chain constant C(p) is infinite."""
     for name in ("shape1d", "shape2d"):
         if getattr(config, name) % 2 == 0:
             raise ConfigError(f"{name}: certify needs an odd point count, "
                               f"got {getattr(config, name)}")
     out = output_dir(config)
     t_grid = default_t_grid(config.t_points)
+    corpus = _resolve_corpus(config, DEFAULT_CORPUS_1D + GAUSSIAN_CORPUS_2D)
+    for name, f in corpus:
+        if f.measure == GAUSSIAN and any(p == np.inf for p, _ in config.pairs):
+            raise ConfigError(f"corpus: {name} is Gaussian-tagged; its "
+                              "constant C(p) is infinite at p = inf")
     entries = []
-    for name, f in _resolve_corpus(config,
-                                   DEFAULT_CORPUS_1D + GAUSSIAN_CORPUS_2D):
+    for name, f in corpus:
         if f.measure == GAUSSIAN and f.dim == 2:
             p, alpha = config.pairs[0]
             entries.extend(certify_projection_suite(f, p, alpha, f_name=name))
@@ -337,9 +341,9 @@ def run_counterexample(config: RunConfig) -> int:
 
 def run_measure(config: RunConfig) -> int:
     out = output_dir(config)
-    x = np.linspace(-8.0, 8.0, config.shape1d)
-    density = np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi)
-    mu = measure_from_density(GridFunction(((-8.0, 8.0),), density))
+    # the standard Gaussian: the constant density 1 under the Gaussian tag
+    mu = measure_from_density(GridFunction(
+        DEFAULT_GRIDS[1].bounds, np.ones(config.shape1d), GAUSSIAN))
     curve, fit = holder_profile(mu, Direction((1.0,)))
     with open(out / "holder_profile.csv", "w") as fh:
         fh.write("t,tv\n")
@@ -354,9 +358,8 @@ def run_measure(config: RunConfig) -> int:
     sub = slices[step::step]
     reports = {}
     for beta in config.beta_list:
-        report = chaining_check(sub, beta, config.depth, seed=config.seed)
-        reports[f"beta={beta:g}"] = json.loads(
-            chaining_report_json(report))
+        reports[f"beta={beta:g}"] = chaining_check(sub, beta, config.depth,
+                                                   seed=config.seed)
     _write_manifest(out / "measure_report.json", config, {
         "holder_fit": {"exponent": fit.exponent, "constant": fit.constant,
                        "t_range": list(fit.t_range),

@@ -55,6 +55,11 @@ def parse_name(name):
     return m.group(1), args
 
 
+def name_dim(name) -> int:
+    """Dimension of a corpus name: 2 for the names ending in '2d', else 1."""
+    return 2 if parse_name(name)[0].endswith("2d") else 1
+
+
 def build_corpus(name, bounds=None, shape=None) -> GridFunction:
     """Build a corpus function by name on the given (or the dimension's
     default, grid.DEFAULT_GRIDS) grid.
@@ -65,14 +70,14 @@ def build_corpus(name, bounds=None, shape=None) -> GridFunction:
     2D Gaussian: x2d, xy2d, xplusysq2d, hermite2d(m, n)
     """
     base, args = parse_name(name)
-    two_d = base.endswith("2d")
-    default = DEFAULT_GRIDS[2 if two_d else 1]
+    dim = name_dim(name)
+    default = DEFAULT_GRIDS[dim]
     grid = Grid(default.bounds if bounds is None else bounds,
                 default.shape if shape is None else shape)
     bounds = grid.bounds
     axes = grid.axes()
 
-    if not two_d:
+    if dim == 1:
         x = axes[0]
         if base == "zero":
             return GridFunction(bounds, np.zeros_like(x))

@@ -70,7 +70,7 @@ class CounterexampleSpec:
         y = y % 1.0
         out = []
         for k in range(self.k_start, self.n_terms + 1):
-            if _wrapped_contains(self.left_endpoint(k), interval_length(k), y):
+            if _wrapped_mask(self.left_endpoint(k), interval_length(k), y):
                 out.append(k)
         return out
 
@@ -88,14 +88,9 @@ def interval_length(k: int) -> float:
     return 1.0 / (k * math.log(k))
 
 
-def _wrapped_contains(left, length, y):
-    end = left + length
-    if end <= 1.0:
-        return left <= y < end
-    return y >= left or y < end % 1.0
-
-
 def _wrapped_mask(left, length, y):
+    """Whether y (a number or an array) lies in the interval of the given
+    length that starts at left and wraps around 1."""
     end = left + length
     if end <= 1.0:
         return (y >= left) & (y < end)

@@ -135,16 +135,27 @@ def gaussian_density(f: GridFunction) -> np.ndarray:
     return (2.0 * np.pi) ** (-f.dim / 2.0) * np.exp(-r2 / 2.0)
 
 
-def quad_weights(f: GridFunction) -> np.ndarray:
-    """Midpoint quadrature weights, with the Gaussian density folded in."""
-    w = np.full(f.shape, f.cell_volume())
+def density(f: GridFunction) -> np.ndarray:
+    """Density of f's tagged measure on its grid: the standard Gaussian
+    density for the Gaussian tag, 1 for the Lebesgue tag."""
     if f.measure == GAUSSIAN:
-        w = w * gaussian_density(f)
-    return w
+        return gaussian_density(f)
+    return np.ones(f.shape)
+
+
+def quad_weights(f: GridFunction) -> np.ndarray:
+    """Midpoint quadrature weights, with the tag's density folded in."""
+    return f.cell_volume() * density(f)
 
 
 def integrate(f: GridFunction) -> float:
     return float(np.sum(quad_weights(f) * f.samples))
+
+
+#: a mean below this counts as zero: the Gaussian suite centers its
+#: transport target only above it, and the Kantorovich norm rejects inputs
+#: above it
+ZERO_MEAN_TOLERANCE = 1e-8
 
 
 def center(f: GridFunction):
@@ -163,13 +174,18 @@ def inner(f: GridFunction, g: GridFunction) -> float:
     return float(np.sum(quad_weights(f) * f.samples * g.samples))
 
 
+def _check_p(p):
+    """p >= 1 or inf; a NaN fails the comparison and is rejected."""
+    if not (p == np.inf or float(p) >= 1.0):
+        raise ValueError("p must be >= 1 or inf")
+
+
 def lp_norm(f: GridFunction, p) -> float:
     """L^p norm under the tagged measure; p = inf returns max |samples|."""
+    _check_p(p)
     if p == np.inf:
         return float(np.max(np.abs(f.samples)))
     p = float(p)
-    if p < 1.0:
-        raise ValueError("p must be >= 1 or inf")
     w = quad_weights(f)
     return float(np.sum(w * np.abs(f.samples) ** p) ** (1.0 / p))
 
@@ -177,8 +193,7 @@ def lp_norm(f: GridFunction, p) -> float:
 def check_exponents(p, alpha):
     """The admissible (p, alpha) of every functional: p >= 1 or inf, and
     0 < alpha <= 1."""
-    if not (p == np.inf or float(p) >= 1.0):
-        raise ValueError("p must be >= 1 or inf")
+    _check_p(p)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
 

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .grid import (LEBESGUE, GridFunction, VectorFieldGrid, check_exponents,
-                   lp_norm, require_tag)
+                   field_lq_norm, require_tag)
 
 #: kernel truncation radius in units of sqrt(t); tail mass below 1e-15
 KERNEL_RADIUS_SIGMAS = 8.0
@@ -120,7 +120,7 @@ def gradient_supremum(grad, f, p, alpha, t_grid=None):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
-    vals = [t ** ((1.0 - alpha) / 2.0) * lp_norm(grad(f, t).magnitude(), p)
+    vals = [t ** ((1.0 - alpha) / 2.0) * field_lq_norm(grad(f, t), p)
             for t in t_grid]
     curve = SemigroupCurve(tuple(zip(t_grid, vals)))
     k = int(np.argmax(vals))

@@ -92,6 +92,12 @@ def shift_measure(mu: GridMeasure, h) -> GridMeasure:
     return mu.with_weights(weights)
 
 
+def _shift_tv(mu: GridMeasure, direction: Direction, t) -> float:
+    """tv(mu shifted by t along the direction, mu)."""
+    h = tuple(t * e for e in direction.e)
+    return tv_distance(shift_measure(mu, h), mu)
+
+
 # ---------------------------------------------------------------------------
 # Holder profiles
 
@@ -137,10 +143,7 @@ def holder_profile(mu: GridMeasure, direction: Direction, t_grid=None):
     if t_grid is None:
         t_grid = default_profile_t_grid(mu, direction)
     floor = _fit_floor(mu, direction)
-    curve = []
-    for t in t_grid:
-        h = tuple(t * e for e in direction.e)
-        curve.append((float(t), tv_distance(shift_measure(mu, h), mu)))
+    curve = [(float(t), _shift_tv(mu, direction, t)) for t in t_grid]
     pts = [(t, v) for t, v in curve if t >= floor * (1.0 - 1e-12) and v > 0.0]
     if len(pts) < 2:
         raise ValueError("need at least two usable points in the fit window")
@@ -171,12 +174,8 @@ def shift_distance(mu: GridMeasure, h1, h2, alpha, t_grid=None) -> float:
     direction = Direction(tuple(diff / norm))
     if t_grid is None:
         t_grid = default_profile_t_grid(mu, direction)
-    best = 0.0
-    for t in t_grid:
-        h = tuple(t * norm * e for e in direction.e)
-        val = tv_distance(shift_measure(mu, h), mu) / (t * norm) ** alpha
-        best = max(best, val)
-    return best
+    return max((_shift_tv(mu, direction, t * norm) / (t * norm) ** alpha
+                for t in t_grid), default=0.0)
 
 
 def metric_axioms_check(mu: GridMeasure, h_list, alpha, t_grid=None):
@@ -257,13 +256,8 @@ def reassemble(slices, marginal: GridMeasure, axis=1) -> GridMeasure:
 def chaining_constant(mu: GridMeasure, direction: Direction, beta,
                       depth) -> float:
     """C = max over n <= depth of 2^(n beta) tv(mu shifted by 2^-n, mu)."""
-    best = 0.0
-    for n in range(1, depth + 1):
-        t = 2.0 ** (-n)
-        h = tuple(t * e for e in direction.e)
-        best = max(best,
-                   2.0 ** (n * beta) * tv_distance(shift_measure(mu, h), mu))
-    return best
+    return max((2.0 ** (n * beta) * _shift_tv(mu, direction, 2.0 ** (-n))
+                for n in range(1, depth + 1)), default=0.0)
 
 
 def chaining_check(slices, beta, depth, seed=20240):
@@ -289,11 +283,8 @@ def chaining_check(slices, beta, depth, seed=20240):
         direction = Direction((1.0,) * mu.dim)
         c = chaining_constant(mu, direction, beta, depth)
         bound = max(2.0, geometric * c)
-        worst = 0.0
-        for s in samples:
-            h = tuple(s * e for e in direction.e)
-            tv = tv_distance(shift_measure(mu, h), mu)
-            worst = max(worst, tv / (bound * s ** beta))
+        worst = max((_shift_tv(mu, direction, s) / (bound * s ** beta)
+                     for s in samples), default=0.0)
         ok = bool(worst <= 1.0)
         all_pass = all_pass and ok
         rows.append({"slice": idx, "C": float(c),

@@ -162,11 +162,6 @@ def semigroup(f: GridFunction):
     return heat.heat_apply, heat.heat_gradient
 
 
-def ou_field(phi: VectorFieldGrid, t: float) -> VectorFieldGrid:
-    """Componentwise OU semigroup on a vector field."""
-    return VectorFieldGrid(tuple(ou_apply(c, t) for c in phi.components))
-
-
 def u_gamma_functional(f: GridFunction, p, alpha, t_grid=None):
     """Grid supremum of t^((1-alpha)/2) ||grad T_t f||_p (lower bound)."""
     return heat.gradient_supremum(ou_gradient, f, p, alpha, t_grid)
@@ -268,13 +263,8 @@ def sobolev_h_norm(c: HermiteCoeffs, alpha: float) -> float:
 # Constants
 
 
-@dataclass(frozen=True)
 class GaussianConstants:
-    """C(p), the OU time constant c_t and the Gaussian |z|^alpha moment."""
-
-    p: float
-    Cp: float
-    c_alpha_n: float
+    """The OU approximation time constant c_t."""
 
     @staticmethod
     def ct(t):
@@ -283,7 +273,12 @@ class GaussianConstants:
 
 
 def cp_closed_form(p: float) -> float:
-    """p-th absolute moment of a standard Gaussian, to the power 1/p."""
+    """p-th absolute moment of a standard Gaussian, to the power 1/p.
+
+    C(inf) is ess sup |Z|, which is infinite, so p = inf is rejected.
+    """
+    if p == math.inf:
+        raise ValueError("C(p) is infinite at p = inf")
     return (2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0)
             / math.sqrt(math.pi)) ** (1.0 / p)
 
@@ -311,14 +306,3 @@ def heat_upper_constant(n: int, alpha: float) -> float:
     if n == 1:
         return 1.0 / (1.0 + alpha) + 1.0
     return abs_moment(alpha, n) + abs_moment(1.0 + alpha, n)
-
-
-def constants(p: float, alpha: float, n: int) -> GaussianConstants:
-    """C(p), c_t and c_{alpha,n}; closed forms cross-checked by quadrature."""
-    cp = cp_closed_form(p)
-    if abs(cp - cp_quadrature(p)) > 1e-10 * cp:
-        raise AssertionError("C(p) closed form disagrees with quadrature")
-    for t_check in (0.1, 1.0, 5.0):
-        if abs(GaussianConstants.ct(t_check) - ct_quadrature(t_check)) > 1e-10:
-            raise AssertionError("c_t closed form disagrees with quadrature")
-    return GaussianConstants(p=float(p), Cp=cp, c_alpha_n=abs_moment(alpha, n))

@@ -29,12 +29,14 @@ from .grid import (
     EDGE_TOLERANCE,
     GAUSSIAN,
     LEBESGUE,
+    ZERO_MEAN_TOLERANCE,
     Direction,
     GridFunction,
     VectorFieldGrid,
     along,
     center,
     check_exponents,
+    density,
     divergence,
     divergence_gamma,
     dual_exponent,
@@ -221,12 +223,15 @@ def _mollify(samples):
 def _dual_optimal(g: GridFunction, p) -> GridFunction:
     """Mollified near-maximizer of int(phi*g) subject to ||phi||_q <= 1."""
     q = dual_exponent(p)
+    peak = np.max(np.abs(g.samples))
     if p == 1:
         # suppress roundoff-scale values so the sign stays supported where
         # g genuinely lives; otherwise noise inflates the segment integral
-        peak = np.max(np.abs(g.samples))
-        cleaned = np.where(np.abs(g.samples) > 1e-12 * peak, g.samples, 0.0)
-        phi = np.sign(cleaned)
+        phi = np.sign(np.where(np.abs(g.samples) > 1e-12 * peak,
+                               g.samples, 0.0))
+    elif p == np.inf:
+        # the q = 1 dual: the sign of g where |g| attains its peak
+        phi = np.sign(np.where(np.abs(g.samples) == peak, g.samples, 0.0))
     else:
         norm = lp_norm(g, p)
         if norm == 0:
@@ -297,15 +302,15 @@ def semigroup_witness(f: GridFunction, t: float, p, alpha) -> QuotientWitness:
     S_t f - f, the field v = int_0^t grad S_s phi ds has
     div v = c (S_t phi - phi) (c = 2 for heat, whose kernel has variance t;
     1 for OU), so <div v, f> = c <phi, S_t f - f>.  In 1D v is that exact
-    solution, rho^-1 int (S_t phi - phi) rho with rho = 1 or the Gaussian
-    density, taken from the nearer end of the box after removing the
-    rho-mean; in 2D the integral runs over u = sqrt(s) on SEMIGROUP_NODES
-    Gauss-Legendre nodes.
+    solution, rho^-1 int (S_t phi - phi) rho with rho the density of f's
+    tag (grid.density), taken from the nearer end of the box after removing
+    the rho-mean; in 2D the integral runs over u = sqrt(s) on
+    SEMIGROUP_NODES Gauss-Legendre nodes.
     """
     apply_fn, grad = semigroup(f)
     phi = _dual_optimal(f.with_samples(apply_fn(f, t).samples - f.samples), p)
     if f.dim == 1:
-        rho = gaussian_density(f) if f.measure == GAUSSIAN else np.ones(f.shape)
+        rho = density(f)
         g = apply_fn(phi, t).samples - phi.samples
         w = (g - np.trapezoid(g * rho) / np.trapezoid(rho)) * rho
         left = cumulative_trapezoid(w, dx=f.dx[0], initial=0.0)
@@ -374,15 +379,15 @@ def kantorovich_norm_1d(f: GridFunction) -> float:
     Equals the integral of |F| where F is the running Gaussian-weighted
     integral of f.  Both are midpoint sums: F at a node takes the cells to
     its left plus half of its own, so F returns to 0 at the right end when
-    the midpoint mean is 0.  Requires a zero-mean (Gaussian-tagged) input,
-    judged by grid.center, the rule the Gaussian suite uses to decide
-    whether to center.
+    the midpoint mean is 0.  Requires a zero-mean (Gaussian-tagged) input:
+    the grid.center mean within grid.ZERO_MEAN_TOLERANCE, the rule the
+    Gaussian suite uses to decide whether to center.
     """
     if f.dim != 1:
         raise ValueError("the closed form is one-dimensional")
     require_tag(f, GAUSSIAN, "the Kantorovich norm")
     mean = center(f)[0]
-    if abs(mean) > 1e-8:
+    if abs(mean) > ZERO_MEAN_TOLERANCE:
         raise ValueError(f"input must have zero Gaussian mean (got {mean:.3g})")
     weighted = quad_weights(f) * f.samples
     big_f = np.cumsum(weighted) - 0.5 * weighted

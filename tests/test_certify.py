@@ -26,14 +26,13 @@ from besovlab.grid import (
     integrate,
     lp_norm,
 )
-from besovlab.heat import default_t_grid
+from besovlab.heat import default_t_grid, heat_apply, u_functional
 from besovlab.ou import (
     GaussianConstants,
     cp_closed_form,
     hermite_matrix,
     hermite_transform,
     ou_apply,
-    ou_field,
     ou_gradient,
     u_gamma_functional,
 )
@@ -105,6 +104,30 @@ class TestLebesgueSuite:
     def test_rejects_gaussian_tag(self):
         with pytest.raises(ValueError):
             certify_lebesgue_suite(build_corpus("hermite(1)"), 1, 0.5)
+
+    def test_small_time_gradient_records_its_ratio_argmax(self):
+        # the entry's lhs is the t^(alpha/2) ratio of heat-smoothing-curve,
+        # so its t_star is that ratio's argmax; U peaks elsewhere (at its
+        # only grid point, 1e-4, on a 4-point t grid)
+        f = build_corpus("hat", shape=(1025,))
+        t_grid = default_t_grid(4)
+        byname = {e.name: e for e in certify_lebesgue_suite(
+            f, 1, 1.0, t_grid=t_grid)}
+        entry = byname["heat-small-time-gradient"]
+        assert entry.lhs == byname["heat-smoothing-curve"].lhs
+        ratio = [lp_norm(f.with_samples(f.samples - heat_apply(f, t).samples),
+                         1) / math.sqrt(t) for t in t_grid]
+        assert entry.inputs["t_star"] == t_grid[int(np.argmax(ratio))]
+        assert entry.inputs["t_star"] != u_functional(f, 1, 1.0,
+                                                      t_grid[::4])[1]
+
+    def test_lower_arm_names_both_constructions(self):
+        # the witness is the best of both constructions, and here the
+        # semigroup-integral one wins
+        entries = certify_lebesgue_suite(build_corpus("indicator"), 2, 0.5)
+        lower = [e for e in entries if e.name == "v-lower-arm"][0]
+        assert "segment-integral and semigroup-integral" in lower.paper_ref
+        assert lower.inputs["witness"].startswith("semigroup-integral")
 
     def test_informative_direction_discipline(self):
         # the sup-vs-sup comparison is always flagged, never certified
@@ -306,8 +329,11 @@ class TestGaussianFieldBounds:
         phi = VectorFieldGrid((f.with_samples(
             0.6 * h[1] - 0.3 * h[2] + 0.15 * h[3] + 0.1 * h[4]),))
         for t in (0.1, 1.0):
+            # the OU semigroup componentwise on the field
+            smoothed = VectorFieldGrid(tuple(ou_apply(c, t)
+                                             for c in phi.components))
             for p in (1, 2):
-                lhs = lp_norm(divergence_gamma(ou_field(phi, t)), p)
+                lhs = lp_norm(divergence_gamma(smoothed), p)
                 rhs = (cp_closed_form(p)
                        / math.sqrt(1.0 - math.exp(-2.0 * t))
                        * field_lq_norm(phi, p))

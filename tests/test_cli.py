@@ -141,6 +141,31 @@ class TestExitCodes:
         assert "corpus: hermite(1)" in err and "Traceback" not in err
         assert not (tmp_path / "seminorms.json").exists()
 
+    def test_gaussian_name_at_p_inf_is_2(self, tmp_path, capsys):
+        # the Gaussian chain constant C(inf) = ess sup |Z| is infinite, so
+        # a Gaussian name at p = inf is a configuration error
+        assert main(["certify", "corpus=hermite(2)", "pairs=inf:0.5",
+                     f"output_dir={tmp_path}"]) == 2
+        err = capsys.readouterr().err
+        assert "corpus: hermite(2)" in err and "Traceback" not in err
+        assert not (tmp_path / "certificates.json").exists()
+
+    def test_lebesgue_certify_at_p_inf(self, tmp_path, capsys):
+        # the witness search used to find no admissible witness at p = inf
+        # (exit 3); every witness stays within 1.05 * c_up * seminorm, and
+        # hat at alpha = 1 reaches its Lipschitz constant 1
+        assert main(["certify", "corpus=hat,bump", "pairs=inf:0.5,inf:1",
+                     "shape1d=1025", "t_points=4",
+                     f"output_dir={tmp_path}"]) == 0
+        entries = json.loads(
+            (tmp_path / "certificates.json").read_text())["entries"]
+        upper = [e for e in entries if e["name"] == "v-upper-arm"]
+        assert len(entries) == 24 and len(upper) == 4
+        for e in upper:
+            assert e["lhs"] <= 1.05 * e["rhs"], e["inputs"]
+            if e["inputs"]["f"] == "hat" and e["inputs"]["alpha"] == 1.0:
+                assert e["lhs"] == pytest.approx(1.0, rel=1e-6)
+
     def test_internal_error_is_3(self, tmp_path, capsys, monkeypatch):
         def broken_suite(*args, **kwargs):
             raise RuntimeError("suite exploded")

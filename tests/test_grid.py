@@ -12,14 +12,17 @@ from besovlab.grid import (
     GridFunction,
     MeasureMismatchError,
     VectorFieldGrid,
+    density,
     directional_derivative,
     divergence,
     divergence_gamma,
+    gaussian_density,
     gradient,
     inner,
     integrate,
     load,
     lp_norm,
+    quad_weights,
     save,
     shift,
     to_csv,
@@ -65,6 +68,22 @@ class TestLpNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
             lp_norm(grid_1d(), 0.5)
+
+    def test_rejects_nan_p(self):
+        # NaN fails every comparison, so it must fail the p >= 1 test too
+        with pytest.raises(ValueError, match="p must be"):
+            lp_norm(build_corpus("hat", shape=(129,)), math.nan)
+
+
+class TestDensity:
+    def test_density_of_each_tag(self):
+        f = grid_1d(257, fn=np.cos)
+        g = grid_1d(257, fn=np.cos, measure=GAUSSIAN)
+        assert np.array_equal(density(f), np.ones(f.shape))
+        assert np.array_equal(density(g), gaussian_density(g))
+        for h in (f, g):
+            assert np.array_equal(quad_weights(h),
+                                  h.cell_volume() * density(h))
 
 
 class TestShift:

@@ -24,7 +24,6 @@ from besovlab.ou import (
     HermiteCoeffs,
     abs_moment,
     conditional_expectation,
-    constants,
     cp_closed_form,
     cp_quadrature,
     ct_quadrature,
@@ -475,6 +474,11 @@ class TestConstants:
         assert cp_closed_form(1.0) == pytest.approx(math.sqrt(2.0 / math.pi),
                                                     abs=1e-14)
 
+    def test_cp_rejects_p_inf(self):
+        # C(inf) = ess sup |Z| is infinite; the formula's limit reads 1.0
+        with pytest.raises(ValueError):
+            cp_closed_form(math.inf)
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
     def test_cp_quadrature_cross_check(self, p):
         assert cp_quadrature(p) == pytest.approx(cp_closed_form(p), abs=1e-12)
@@ -492,15 +496,12 @@ class TestConstants:
     def test_abs_moments(self):
         assert abs_moment(1.0, 1) == pytest.approx(math.sqrt(2.0 / math.pi))
         assert abs_moment(2.0, 3) == pytest.approx(3.0)
+        # c_{alpha,n} at alpha = 1/2, n = 1
+        assert abs_moment(0.5, 1) == pytest.approx(
+            2.0 ** 0.25 * math.gamma(0.75) / math.gamma(0.5), rel=1e-12)
         for n in (1, 2, 3):
             for alpha in (0.25, 0.5, 0.75, 1.0):
                 assert heat_upper_constant(n, alpha) <= math.sqrt(n) + n + 1e-12
-
-    def test_constants_bundle(self):
-        c = constants(2.0, 0.5, 1)
-        assert c.Cp == pytest.approx(1.0, abs=1e-10)
-        expect = 2.0 ** 0.25 * math.gamma(0.75) / math.gamma(0.5)
-        assert c.c_alpha_n == pytest.approx(expect, rel=1e-12)
 
 
 class TestSemigroupDispatch:

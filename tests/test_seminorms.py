@@ -9,6 +9,7 @@ from besovlab.corpus import (
     LEBESGUE_CORPUS_1D,
     LEBESGUE_CORPUS_2D,
     build_corpus,
+    name_dim,
 )
 from besovlab.grid import (
     EDGE_TOLERANCE,
@@ -310,6 +311,23 @@ def test_besov_seminorm_translation_covariant(name, p, alpha, data):
     assert got.value == pytest.approx(base.value, rel=1e-12)
     assert shift_quotient(f, got.witness_h, p, alpha) == pytest.approx(
         base.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, alpha", [(1.0, 1.0), (2.0, 0.5), (1.5, 0.3)])
+@pytest.mark.parametrize("name, n", [("bump", 1025),
+                                     ("weierstrass(0.5)", 1025),
+                                     ("bump2d", 97)])
+def test_besov_seminorm_translation_covariant_from_the_formula(name, n, p,
+                                                               alpha):
+    # np.roll would wrap the nonzero tails of these functions, so the
+    # translate is sampled from the formula: the same function on a box
+    # moved by 3 cells.  Farther moves carry mass to the box edge.
+    f = build_corpus(name, shape=(n,) * name_dim(name))
+    bounds = tuple((a + 3 * dx, b + 3 * dx)
+                   for (a, b), dx in zip(f.bounds, f.dx))
+    moved = build_corpus(name, bounds=bounds, shape=f.shape)
+    assert besov_seminorm(moved, p, alpha).value == pytest.approx(
+        besov_seminorm(f, p, alpha).value, rel=1e-11)
 
 
 #: the public entries that take (p, alpha), as entry(f, p, alpha)
