@@ -496,12 +496,15 @@ class TestConstants:
     def test_abs_moments(self):
         assert abs_moment(1.0, 1) == pytest.approx(math.sqrt(2.0 / math.pi))
         assert abs_moment(2.0, 3) == pytest.approx(3.0)
-        # c_{alpha,n} at alpha = 1/2, n = 1
-        assert abs_moment(0.5, 1) == pytest.approx(
-            2.0 ** 0.25 * math.gamma(0.75) / math.gamma(0.5), rel=1e-12)
         for n in (1, 2, 3):
             for alpha in (0.25, 0.5, 0.75, 1.0):
                 assert heat_upper_constant(n, alpha) <= math.sqrt(n) + n + 1e-12
+
+    def test_constants_bundle(self):
+        # the constants the OU certificate reads at p = 2, alpha = 1/2, n = 1
+        assert cp_closed_form(2.0) == pytest.approx(1.0, abs=1e-10)
+        expect = 2.0 ** 0.25 * math.gamma(0.75) / math.gamma(0.5)
+        assert abs_moment(0.5, 1) == pytest.approx(expect, rel=1e-12)
 
 
 class TestSemigroupDispatch:
