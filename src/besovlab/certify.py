@@ -32,7 +32,7 @@ from .grid import (
     lp_norm,
     require_tag,
 )
-from .heat import default_t_grid, u_functional
+from .heat import default_t_grid, gradient_supremum, t_points, u_functional
 from .ou import (
     GaussianConstants,
     HermiteCoeffs,
@@ -42,6 +42,7 @@ from .ou import (
     heat_upper_constant,
     hermite_synthesize,
     ou_apply,
+    ou_step,
     semigroup,
     sobolev_h_norm,
     u_gamma_functional,
@@ -135,12 +136,10 @@ def _inputs(f_name, p, alpha, **extra):
     return rec
 
 
-def _diff_norms(f, p, t_grid):
-    """||f - S_t f||_p at every grid t, S the semigroup of f's tag."""
-    apply_fn = semigroup(f)[0]
-    return np.array([
-        lp_norm(f.with_samples(f.samples - apply_fn(f, float(t)).samples), p)
-        for t in t_grid])
+def _diff_norms(f, p, values):
+    """||f - S_t f||_p for each S_t f in values."""
+    return np.array([lp_norm(f.with_samples(f.samples - v.samples), p)
+                     for v in values])
 
 
 def _max_ratio(diffs, weights, t_grid):
@@ -152,9 +151,8 @@ def _max_ratio(diffs, weights, t_grid):
 def _gaussian_t_grid(f, t_grid):
     """t_grid, or by default 16 points in 2D (where each OU pass costs the
     most) and default_t_grid() in 1D."""
-    if t_grid is None:
-        return default_t_grid(16) if f.dim == 2 else default_t_grid()
-    return np.asarray(t_grid, dtype=float)
+    return t_points(default_t_grid(16) if t_grid is None and f.dim == 2
+                    else t_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +168,7 @@ def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
     random-field search (the benchmark's lebesgue-2d workload passes them).
     """
     require_tag(f, LEBESGUE, "the Lebesgue suite")
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = t_points(t_grid)
     n = f.dim
     fc = coarsen(f)
 
@@ -208,9 +204,9 @@ def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
 
     c_alpha_n = abs_moment(alpha, n)
     t_weights = t_grid ** (alpha / 2.0)
-    ratio, t_star, eps_r, inf_r = _graded(
-        lambda g: _max_ratio(_diff_norms(g, p, t_grid), t_weights, t_grid),
-        f, fc)
+    apply_fn = semigroup(f)[0]
+    ratio, t_star, eps_r, inf_r = _graded(lambda g: _max_ratio(_diff_norms(
+        g, p, (apply_fn(g, t) for t in t_grid)), t_weights, t_grid), f, fc)
     entries.append(make_entry(
         "heat-smoothing-curve",
         "||f - P_t f||_p <= E|Z_n|^alpha * seminorm * t^(alpha/2) at every "
@@ -247,18 +243,17 @@ def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
 # Gaussian suite
 
 
-def v_gamma_upper_bound(f: GridFunction, p, alpha, t_grid=None):
-    """Chain upper bound for the Gaussian variational functional.
+def _chain_bound(p, alpha, graded_u):
+    """The chain V <= (4 C(p)/alpha + 1) * U_gamma, from U_gamma as _graded
+    returns it: (value, argmax t, curve, slack, informative).
 
-    V <= (4 C(p)/alpha + 1) * U_gamma; the alternative constant 2 C(p) + 1
-    appearing in a restatement is smaller for alpha <= 1, so the weaker
-    (larger) factor is used and recorded.
+    The alternative constant 2 C(p) + 1 appearing in a restatement is
+    smaller for alpha <= 1, so the weaker (larger) factor is used and
+    recorded.  Returns the bound, with U_gamma's slack folded in, and the
+    chain record.
     """
-    t_grid = _gaussian_t_grid(f, t_grid)
-    cp = cp_closed_form(p)
-    u_val, _, _, eps_u, inf_u = _graded(
-        lambda g: u_gamma_functional(g, p, alpha, t_grid), f, coarsen(f))
-    constant = 4.0 * cp / alpha + 1.0
+    u_val, _, _, eps_u, inf_u = graded_u
+    constant = 4.0 * cp_closed_form(p) / alpha + 1.0
     return constant * u_val * (1.0 + eps_u), {
         "constant": constant,
         "constant_rule": "4*C(p)/alpha + 1 (the larger of the two stated "
@@ -269,24 +264,47 @@ def v_gamma_upper_bound(f: GridFunction, p, alpha, t_grid=None):
     }
 
 
+def v_gamma_upper_bound(f: GridFunction, p, alpha, t_grid=None):
+    """Chain upper bound for the Gaussian variational functional, with
+    U_gamma from u_gamma_functional on f and coarsen(f) (see _chain_bound).
+    """
+    t_grid = _gaussian_t_grid(f, t_grid)
+    return _chain_bound(p, alpha, _graded(
+        lambda g: u_gamma_functional(g, p, alpha, t_grid), f, coarsen(f)))
+
+
 def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
                            f_name="f"):
-    """OU approximation, Poincare, chain bounds and the 1D transport bound."""
+    """OU approximation, Poincare, chain bounds and the 1D transport bound.
+
+    One sweep of ou_step over the grid t, on f and on coarsen(f), gives
+    every ||g - T_t g||_p and every U_gamma of the entries: at p, and at
+    p = 1 for the transport entry when its target is f itself.  U_gamma
+    reads all grid t when there are at most 16, else every fourth.
+    """
     require_tag(f, GAUSSIAN, "the Gaussian suite")
     t_grid = _gaussian_t_grid(f, t_grid)
     q = dual_exponent(p)
     cp = cp_closed_form(p)
     fc = coarsen(f)
 
-    u_grid = t_grid[::4] if len(t_grid) > 16 else t_grid
-    v_up, chain = v_gamma_upper_bound(f, p, alpha, u_grid)
-    u_val, eps_u, inf_u = (chain["u_value"], chain["u_slack"],
-                           chain["u_informative"])
+    step = 4 if len(t_grid) > 16 else 1
+    u_grid = t_grid[::step]
+    sweeps = [[ou_step(g, t) for t in t_grid] for g in (f, fc)]
+    diffs = [_diff_norms(g, p, [value for value, _ in sweep])
+             for g, sweep in zip((f, fc), sweeps)]
+    grads = [[grad for _, grad in sweep[::step]] for sweep in sweeps]
+
+    def graded_u(r):
+        return _graded(lambda fields: gradient_supremum(fields, u_grid, r,
+                                                        alpha), *grads)
+
+    u_val, _, _, eps_u, inf_u = u_p = graded_u(p)
+    v_up, chain_p = _chain_bound(p, alpha, u_p)
 
     witness = v_lower_bound(f, p, alpha)
 
     entries = []
-    diffs = (_diff_norms(f, p, t_grid), _diff_norms(fc, p, t_grid))
     ct_weights = np.asarray(GaussianConstants.ct(t_grid)) ** alpha
     ratio, t_star, eps_r, inf_r = _graded(
         lambda d: _max_ratio(d, ct_weights, t_grid), *diffs)
@@ -334,15 +352,13 @@ def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
     entries.append(make_entry(
         "v-le-u-gamma",
         "witness V <= (4 C(p)/alpha + 1) * U_gamma (valid for every p >= 1)",
-        lhs=witness.quotient, rhs=chain["constant"] * u_val, slack=eps_u,
+        lhs=witness.quotient, rhs=chain_p["constant"] * u_val, slack=eps_u,
         inputs=_inputs(f_name, p, alpha), informative=inf_u))
 
     if f.dim == 1:
         target = centered if abs(mean) > ZERO_MEAN_TOLERANCE else f
-        if p == 1 and target is f:
-            v_up_1, chain_1 = v_up, chain
-        else:
-            v_up_1, chain_1 = v_gamma_upper_bound(target, 1, alpha, u_grid)
+        v_up_1, chain_1 = (_chain_bound(1, alpha, graded_u(1)) if target is f
+                           else v_gamma_upper_bound(target, 1, alpha, u_grid))
         k_norm = kantorovich_norm_1d(target)
         entries.append(make_entry(
             "transport-interpolation",

@@ -45,7 +45,7 @@ from .counterexample import (
     slice_blowup_profile,
 )
 from .grid import (DEFAULT_GRIDS, GAUSSIAN, LEBESGUE, Direction,
-                   GridFunction, check_exponents, to_csv)
+                   GridFunction, check_exponents, check_tag_exponent, to_csv)
 from .heat import default_t_grid, gradient_supremum
 from .measures import (
     chaining_check,
@@ -265,9 +265,9 @@ def run_semigroup(config: RunConfig) -> int:
         gradient = semigroup(f)[1]
         # the curve kind is the name of the semigroup's module: heat or ou
         kind = gradient.__module__.rsplit(".", 1)[-1]
+        fields = [gradient(f, t) for t in t_grid]
         for p, alpha in config.pairs:
-            value, t_star, curve = gradient_supremum(gradient, f, p, alpha,
-                                                     t_grid)
+            value, t_star, curve = gradient_supremum(fields, t_grid, p, alpha)
             # reals as in the echo, so distinct pairs get distinct files
             stem = f"{_stem(name)}_{kind}_p{_real(p)}_a{_real(alpha)}"
             path = out / f"{stem}.csv"
@@ -285,7 +285,8 @@ def run_certify(config: RunConfig) -> int:
     dimension: Lebesgue (1D or 2D), Gaussian 1D, or the 2D projection
     suite, which runs the first pair only.  The discretization slack
     coarsens each grid by two, so both point counts must be odd.  A Gaussian
-    function takes no p = inf pair: its chain constant C(p) is infinite."""
+    function takes no p = inf pair: its chain constant C(p) is infinite
+    (grid.check_tag_exponent)."""
     for name in ("shape1d", "shape2d"):
         if getattr(config, name) % 2 == 0:
             raise ConfigError(f"{name}: certify needs an odd point count, "
@@ -294,9 +295,11 @@ def run_certify(config: RunConfig) -> int:
     t_grid = default_t_grid(config.t_points)
     corpus = _resolve_corpus(config, DEFAULT_CORPUS_1D + GAUSSIAN_CORPUS_2D)
     for name, f in corpus:
-        if f.measure == GAUSSIAN and any(p == np.inf for p, _ in config.pairs):
-            raise ConfigError(f"corpus: {name} is Gaussian-tagged; its "
-                              "constant C(p) is infinite at p = inf")
+        try:
+            for p, _ in config.pairs:
+                check_tag_exponent(f, p)
+        except ValueError as exc:
+            raise ConfigError(f"corpus: {name}: {exc}")
     entries = []
     for name, f in corpus:
         if f.measure == GAUSSIAN and f.dim == 2:

@@ -198,6 +198,14 @@ def check_exponents(p, alpha):
         raise ValueError("alpha must lie in (0, 1]")
 
 
+def check_tag_exponent(f, p):
+    """The one p rule of a measure tag: a Gaussian-tagged f takes no
+    p = inf, where the Gaussian constant C(p) = ||Z||_p is infinite and no
+    witness construction is admissible."""
+    if f.measure == GAUSSIAN and p == np.inf:
+        raise ValueError("a Gaussian target's C(p) is infinite at p = inf")
+
+
 def dual_exponent(p) -> float:
     if p == np.inf:
         return 1.0

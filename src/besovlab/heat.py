@@ -107,21 +107,25 @@ def heat_gradient(f: GridFunction, t: float) -> VectorFieldGrid:
     return VectorFieldGrid(tuple(comps))
 
 
-def gradient_supremum(grad, f, p, alpha, t_grid=None):
-    """Grid supremum of t^((1-alpha)/2) ||grad(f, t)||_p over t_grid, with
-    the pointwise Euclidean magnitude of the gradient field.
+def t_points(t_grid):
+    """t_grid as a float array, or default_t_grid() for None."""
+    return np.asarray(default_t_grid() if t_grid is None else t_grid, float)
 
-    The loop shared by the heat and OU functionals.  Returns (value, argmax
-    t, SemigroupCurve).
+
+def gradient_supremum(fields, t_grid, p, alpha):
+    """Grid supremum of t^((1-alpha)/2) ||field_t||_p over t_grid, with the
+    pointwise Euclidean magnitude of each field.
+
+    fields holds the semigroup gradient at each grid t, in order, as the
+    caller computed it (a lazy iterable is read only after the arguments
+    are checked).  The supremum shared by the heat and OU functionals.
+    Returns (value, argmax t, SemigroupCurve).
     """
     check_exponents(p, alpha)
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
+    if len(t_grid) == 0:
         raise ValueError("t_grid must be nonempty")
-    vals = [t ** ((1.0 - alpha) / 2.0) * field_lq_norm(grad(f, t), p)
-            for t in t_grid]
+    vals = [t ** ((1.0 - alpha) / 2.0) * field_lq_norm(field, p)
+            for t, field in zip(t_grid, fields, strict=True)]
     curve = SemigroupCurve(tuple(zip(t_grid, vals)))
     k = int(np.argmax(vals))
     return vals[k], float(t_grid[k]), curve
@@ -133,4 +137,6 @@ def u_functional(f: GridFunction, p, alpha, t_grid=None):
     Returns (value, argmax t, SemigroupCurve); the value is a certified lower
     bound of the true supremum.
     """
-    return gradient_supremum(heat_gradient, f, p, alpha, t_grid)
+    t_grid = t_points(t_grid)
+    return gradient_supremum((heat_gradient(f, t) for t in t_grid), t_grid,
+                             p, alpha)

@@ -9,7 +9,6 @@ grid analog of the L1 distance between densities.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -293,9 +292,3 @@ def chaining_check(slices, beta, depth, seed=20240):
     return {"beta": beta, "depth": depth, "n_samples": int(samples.size),
             "pass": all_pass, "rows": rows}
 
-
-def chaining_report_json(report, config=None) -> str:
-    payload = dict(report)
-    if config is not None:
-        payload["config"] = config
-    return json.dumps(payload, indent=2, sort_keys=True)

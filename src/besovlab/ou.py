@@ -11,8 +11,9 @@ contracts them with a weight matrix.  T_t and the gradient kernel take the
 points e^{-t} x + sqrt(1-e^{-2t}) y and the stacked weights w and w*y, so
 each (t, axis) pass gives the plain and the y-weighted average together; the
 node x grid-point block takes K*n*m*8 bytes on an n x m grid, about 36 MB at
-257^2.  ou_apply makes dim passes; ou_gradient makes one pass in 1D and three
-in 2D, the axis-0 pass being shared by both components.  The conditional
+257^2.  ou_step computes T_t f and grad T_t f together, from one pass in 1D
+and three in 2D; ou_apply and ou_gradient are its two halves, and a caller
+that needs both fields at one t calls ou_step once.  The conditional
 expectation takes the points y and the weights w; the Hermite transform
 contracts each axis in turn with the rows H_n(y) w, in any dimension.
 
@@ -123,30 +124,35 @@ def _ou_axis_average(f: GridFunction, axis, t):
     return np.moveaxis(avg, 1, axis + 1)
 
 
-def ou_apply(f: GridFunction, t: float) -> GridFunction:
-    """T_t f by tensorized Gauss-Hermite quadrature of the Mehler average."""
-    heat.check_semigroup_args(f, t, GAUSSIAN)
-    out = f
-    for axis in range(f.dim):
-        out = out.with_samples(_ou_axis_average(out, axis, t)[0])
-    return out
+def ou_step(f: GridFunction, t: float):
+    """(T_t f, grad T_t f) by tensorized Gauss-Hermite quadrature of the
+    Mehler average: the only routine that computes either.
 
-
-def ou_gradient(f: GridFunction, t: float) -> VectorFieldGrid:
-    """grad T_t f via the Gaussian-average representation of the gradient.
-
-    Component i weights the average along axis i by y and the other axis
-    plainly; in 2D both components share the axis-0 pass.
+    Gradient component i weights the average along axis i by y and every
+    other axis plainly; the plain average along every axis is T_t f.  Each
+    pass along an axis gives both weightings, so the step makes one pass in
+    1D and three in 2D.
     """
     heat.check_semigroup_args(f, t, GAUSSIAN)
     factor = math.exp(-t) / math.sqrt(1.0 - math.exp(-2.0 * t))
-    plain, weighted = _ou_axis_average(f, 0, t)
-    if f.dim == 1:
-        comps = (weighted,)
-    else:
-        comps = (_ou_axis_average(f.with_samples(weighted), 1, t)[0],
-                 _ou_axis_average(f.with_samples(plain), 1, t)[1])
-    return VectorFieldGrid(tuple(f.with_samples(factor * c) for c in comps))
+    value, comps = f.samples, []
+    for axis in range(f.dim):
+        comps = [_ou_axis_average(f.with_samples(c), axis, t)[0]
+                 for c in comps]
+        value, weighted = _ou_axis_average(f.with_samples(value), axis, t)
+        comps.append(weighted)
+    return f.with_samples(value), VectorFieldGrid(
+        tuple(f.with_samples(factor * c) for c in comps))
+
+
+def ou_apply(f: GridFunction, t: float) -> GridFunction:
+    """T_t f, the first half of ou_step."""
+    return ou_step(f, t)[0]
+
+
+def ou_gradient(f: GridFunction, t: float) -> VectorFieldGrid:
+    """grad T_t f, the second half of ou_step."""
+    return ou_step(f, t)[1]
 
 
 def semigroup(f: GridFunction):
@@ -164,7 +170,9 @@ def semigroup(f: GridFunction):
 
 def u_gamma_functional(f: GridFunction, p, alpha, t_grid=None):
     """Grid supremum of t^((1-alpha)/2) ||grad T_t f||_p (lower bound)."""
-    return heat.gradient_supremum(ou_gradient, f, p, alpha, t_grid)
+    t_grid = heat.t_points(t_grid)
+    return heat.gradient_supremum((ou_gradient(f, t) for t in t_grid),
+                                  t_grid, p, alpha)
 
 
 def conditional_expectation(f: GridFunction, kept_axis: int) -> GridFunction:
@@ -207,13 +215,6 @@ class HermiteCoeffs:
         """|n| = n_1 + ... + n_d multi-index array matching the coefficient
         shape."""
         return np.indices(self.coeffs.shape).sum(0)
-
-    def save_txt(self, path):
-        """One `n_1,...,n_d,value` row per coefficient, in C order."""
-        with open(path, "w") as fh:
-            for idx in np.ndindex(self.coeffs.shape):
-                fh.write(",".join(map(str, idx))
-                         + f",{self.coeffs[idx]:.17g}\n")
 
 
 def hermite_transform(f: GridFunction, degree=None) -> HermiteCoeffs:

@@ -36,6 +36,7 @@ from .grid import (
     along,
     center,
     check_exponents,
+    check_tag_exponent,
     density,
     divergence,
     divergence_gamma,
@@ -337,9 +338,11 @@ def v_lower_bound(f: GridFunction, p, alpha) -> QuotientWitness:
     targets) and the semigroup-integral witnesses at every SEMIGROUP_T.  A
     Lebesgue candidate is a test object only if it vanishes at the box edge
     (grid.edge_ratio within EDGE_TOLERANCE); others are skipped.  Gaussian
-    fields are not cut.  Deterministic: no random search, no seed.
+    fields are not cut.  Deterministic: no random search, no seed.  A
+    Gaussian target at p = inf is rejected (grid.check_tag_exponent).
     """
     check_exponents(p, alpha)
+    check_tag_exponent(f, p)
     attempts = []
     if f.measure == LEBESGUE:
         attempts = [partial(psi_witness, f, float(h), axis, p, alpha)

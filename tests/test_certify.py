@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from besovlab import ou
 from besovlab.corpus import build_corpus
 from besovlab.certify import (
     CertificateEntry,
@@ -180,6 +181,22 @@ class TestGaussianSuite:
         assert byname["ou-approximation-curve"].inputs["v_upper"] == v_up
         assert byname["v-le-u-gamma"].rhs == \
             chain["constant"] * chain["u_value"]
+
+    @pytest.mark.parametrize("p, alpha", [(2, 0.5), (1, 1.0)])
+    def test_one_ou_sweep_per_grid_level(self, monkeypatch, p, alpha):
+        # ou_step at each of the 4 grid t on f and coarsen(f) gives every
+        # difference norm and U_gamma (8 axis passes); the six semigroup
+        # witnesses make the other 12
+        calls = []
+
+        def counting(*args, _fn=ou._ou_axis_average):
+            calls.append(args[1:])
+            return _fn(*args)
+
+        monkeypatch.setattr(ou, "_ou_axis_average", counting)
+        f = build_corpus("hermite(2)", shape=(129,))
+        certify_gaussian_suite(f, p, alpha, t_grid=default_t_grid(4))
+        assert len(calls) == 20
 
     def test_transport_slack_is_the_p1_chain_slack(self):
         # the transport entry bounds V by the chain at p = 1, so its slack is

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import besovlab
-from besovlab import __version__, cli
+from besovlab import __version__, cli, heat, ou
 from besovlab.certify import certify_projection_suite
 from besovlab.cli import (
     ConfigError,
@@ -185,6 +185,23 @@ class TestExitCodes:
 
 
 class TestArtifacts:
+    def test_semigroup_fields_once_per_function(self, tmp_path,
+                                                monkeypatch):
+        # each function's gradient field at each t is built once and read by
+        # every pair: 4 heat and 3 OU functions at 4 t, for 2 pairs
+        calls = {}
+        for module, name in ((heat, "heat_gradient"), (ou, "ou_gradient")):
+            def counting(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counting)
+        assert main(["semigroup", "shape1d=129", "t_points=4",
+                     f"output_dir={tmp_path}"]) == 0
+        assert calls == {"heat_gradient": 16, "ou_gradient": 12}
+        manifest = json.loads(
+            (tmp_path / "semigroup_manifest.json").read_text())
+        assert len(manifest["curves"]) == 14
+
     def test_corpus_deterministic(self, tmp_path, monkeypatch):
         # identical config, destination redirected by the environment
         a, b = tmp_path / "a", tmp_path / "b"

@@ -14,6 +14,7 @@ from besovlab.grid import (
     GAUSSIAN,
     GridFunction,
     MeasureMismatchError,
+    inner,
     lp_norm,
     quad_weights,
 )
@@ -35,6 +36,7 @@ from besovlab.ou import (
     ou_apply,
     ou_apply_spectral,
     ou_gradient,
+    ou_step,
     semigroup,
     sobolev_h_norm,
     u_gamma_functional,
@@ -247,6 +249,32 @@ def test_ou_l2_contraction(coeffs, t):
     assert lp_norm(ou_apply(f, t), 2) <= lp_norm(f, 2) * (1 + 1e-10)
 
 
+@given(a=hermite_coeffs, b=hermite_coeffs, t=times)
+@settings(max_examples=25, deadline=None)
+def test_ou_self_adjoint(a, b, t):
+    # <T_t f, g>_gamma = <f, T_t g>_gamma
+    f, g = hermite_combination(a), hermite_combination(b)
+    lhs = inner(ou_step(f, t)[0], g)
+    rhs = inner(f, ou_step(g, t)[0])
+    assert abs(lhs - rhs) <= 1e-10
+
+
+@given(coeffs=hermite_coeffs, t=times)
+@settings(max_examples=25, deadline=None)
+def test_ou_gradient_commutes_with_derivative(coeffs, t):
+    # grad T_t f = e^{-t} T_t(f'), with f' = sum c_n sqrt(n) h_{n-1} for the
+    # orthonormal Hermite polynomials h_n
+    f = hermite_combination(coeffs)
+    x = f.axes()[0]
+    derivative = (np.asarray(coeffs[1:]) * np.sqrt(np.arange(1, 5))) \
+        @ hermite_matrix(3, x)
+    grad = ou_step(f, t)[1]
+    expect = math.exp(-t) * ou_step(f.with_samples(derivative), t)[0].samples
+    mask = interior_mask(f)
+    assert np.max(np.abs(grad.components[0].samples[mask]
+                         - expect[mask])) <= 1e-7
+
+
 class TestSpectralAgreement:
     @pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
     def test_quadrature_matches_multiplier_up_to_degree_12(self, t):
@@ -403,19 +431,6 @@ class TestHermiteTransform:
         g = hermite_synthesize(c, bounds=f.bounds, shape=f.shape)
         diff = f.with_samples(f.samples - g.samples)
         assert lp_norm(diff, 2) <= 1e-5
-
-    def test_save_txt(self, tmp_path):
-        c = HermiteCoeffs(np.array([1.0, 0.5]))
-        path = tmp_path / "c.txt"
-        c.save_txt(path)
-        assert path.read_text().splitlines()[0] == "0,1"
-
-    def test_save_txt_2d(self, tmp_path):
-        c = HermiteCoeffs(np.array([[1.0, 0.5, -2.0], [0.25, 0.0, 3.0]]))
-        path = tmp_path / "c.txt"
-        c.save_txt(path)
-        assert path.read_text().splitlines() == [
-            "0,0,1", "0,1,0.5", "0,2,-2", "1,0,0.25", "1,1,0", "1,2,3"]
 
 
 @settings(max_examples=25, deadline=None)

@@ -216,6 +216,15 @@ class TestVLowerBound:
         b = v_lower_bound(f, 2, 0.5)
         assert a.quotient == b.quotient
 
+    @pytest.mark.parametrize("name, shape", [("hermite(1)", (1025,)),
+                                             ("x2d", (33, 33))])
+    def test_gaussian_target_at_p_inf_rejected(self, name, shape):
+        # the Gaussian constant C(inf) is infinite: an inadmissible input,
+        # rejected by the rule that certify applies to a Gaussian name
+        f = build_corpus(name, shape=shape)
+        with pytest.raises(ValueError, match="C\\(p\\) is infinite"):
+            v_lower_bound(f, np.inf, 0.5)
+
 
 class TestSemigroupWitness:
     @pytest.mark.parametrize("name, shape", [("hermite(1)", (1025,)),
