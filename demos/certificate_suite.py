@@ -31,7 +31,8 @@ def main():
 
     g = build_corpus("hermite(2)")
     print("\nGaussian suite, H2, p=2, alpha=1/2:")
-    entries_g = certify_gaussian_suite(g, 2, 0.5, f_name="hermite(2)")
+    entries_g = certify_gaussian_suite(g, [(2, 0.5)],
+                                       f_name="hermite(2)")
     show(entries_g)
 
     bad = failures(entries + entries_g)

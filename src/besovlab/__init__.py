@@ -32,6 +32,7 @@ from .seminorms import (  # noqa: F401
     psi_witness,
     semigroup_witness,
     v_lower_bound,
+    v_lower_bounds,
     v_quotient,
 )
 from .certify import (  # noqa: F401

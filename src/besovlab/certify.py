@@ -51,6 +51,7 @@ from .seminorms import (
     besov_seminorm,
     kantorovich_norm_1d,
     v_lower_bound,
+    v_lower_bounds,
 )
 
 SLACK_FLOOR = 1e-4
@@ -273,104 +274,114 @@ def v_gamma_upper_bound(f: GridFunction, p, alpha, t_grid=None):
         lambda g: u_gamma_functional(g, p, alpha, t_grid), f, coarsen(f)))
 
 
-def certify_gaussian_suite(f: GridFunction, p, alpha, t_grid=None,
-                           f_name="f"):
-    """OU approximation, Poincare, chain bounds and the 1D transport bound.
+def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
+    """OU approximation, Poincare, chain bounds and the 1D transport bound,
+    for every (p, alpha) of pairs, in order.
 
-    One sweep of ou_step over the grid t, on f and on coarsen(f), gives
-    every ||g - T_t g||_p and every U_gamma of the entries: at p, and at
-    p = 1 for the transport entry when its target is f itself.  U_gamma
-    reads all grid t when there are at most 16, else every fourth.
+    T_t f and grad T_t f do not depend on (p, alpha), so each is computed
+    once per call: one sweep of ou_step over the grid t, on f and on
+    coarsen(f), gives every ||g - T_t g||_p and every U_gamma of the
+    entries, at each p and at p = 1 for the transport entry, and one
+    v_lower_bounds call gives every witness.  U_gamma reads all grid t when
+    there are at most 16, else every fourth.
     """
     require_tag(f, GAUSSIAN, "the Gaussian suite")
+    witnesses = v_lower_bounds(f, pairs)
     t_grid = _gaussian_t_grid(f, t_grid)
-    q = dual_exponent(p)
-    cp = cp_closed_form(p)
     fc = coarsen(f)
 
     step = 4 if len(t_grid) > 16 else 1
     u_grid = t_grid[::step]
     sweeps = [[ou_step(g, t) for t in t_grid] for g in (f, fc)]
-    diffs = [_diff_norms(g, p, [value for value, _ in sweep])
-             for g, sweep in zip((f, fc), sweeps)]
+    diffs = {p: [_diff_norms(g, p, [value for value, _ in sweep])
+                 for g, sweep in zip((f, fc), sweeps)]
+             for p in {p for p, _ in pairs}}
     grads = [[grad for _, grad in sweep[::step]] for sweep in sweeps]
 
-    def graded_u(r):
+    def graded_u(r, alpha):
         return _graded(lambda fields: gradient_supremum(fields, u_grid, r,
                                                         alpha), *grads)
 
-    u_val, _, _, eps_u, inf_u = u_p = graded_u(p)
-    v_up, chain_p = _chain_bound(p, alpha, u_p)
-
-    witness = v_lower_bound(f, p, alpha)
-
-    entries = []
-    ct_weights = np.asarray(GaussianConstants.ct(t_grid)) ** alpha
-    ratio, t_star, eps_r, inf_r = _graded(
-        lambda d: _max_ratio(d, ct_weights, t_grid), *diffs)
-    entries.append(make_entry(
-        "ou-approximation-curve",
-        "||f - T_t f||_p <= 2^(1-alpha) C(p)^alpha c_t^alpha * V at every "
-        "grid t, V from the chain bound",
-        lhs=ratio, rhs=2.0 ** (1.0 - alpha) * cp ** alpha * v_up,
-        slack=max(eps_u, eps_r),
-        inputs=_inputs(f_name, p, alpha, t_star=t_star, v_upper=v_up),
-        informative=inf_u or inf_r))
-
     (mean, centered), (_, centered_c) = center(f), center(fc)
-    lhs_poincare, eps_p, inf_p = _graded(lambda g: (lp_norm(g, p),),
-                                         centered, centered_c)
-    entries.append(make_entry(
-        "poincare",
-        "||f - mean||_p <= 2^(1-2 alpha) pi^alpha C(p)^alpha * V, V from "
-        "the chain bound",
-        lhs=lhs_poincare,
-        rhs=2.0 ** (1.0 - 2.0 * alpha) * math.pi ** alpha * cp ** alpha * v_up,
-        slack=max(eps_u, eps_p),
-        inputs=_inputs(f_name, p, alpha, mean=mean, v_upper=v_up),
-        informative=inf_u or inf_p))
-
-    ratio_t, t_star2, eps_rt, inf_rt = _graded(
-        lambda d: _max_ratio(d, t_grid ** (alpha / 2.0), t_grid), *diffs)
-    entries.append(make_entry(
-        "ou-small-time-gradient",
-        "||f - T_t f||_p <= 4 C(p)/alpha * U_gamma * t^(alpha/2) at every "
-        "grid t",
-        lhs=ratio_t, rhs=4.0 * cp / alpha * u_val, slack=max(eps_u, eps_rt),
-        inputs=_inputs(f_name, p, alpha, t_star=t_star2),
-        informative=inf_u or inf_rt))
-
-    if q != np.inf:
-        cq = cp_closed_form(q)
-        entries.append(make_entry(
-            "u-le-v-gamma",
-            "U_gamma <= C(q)^(1-alpha) * V; both sides grid lower bounds, "
-            "evidence only",
-            lhs=u_val, rhs=cq ** (1.0 - alpha) * witness.quotient,
-            slack=SLACK_CAP,
-            inputs=_inputs(f_name, p, alpha), informative=True))
-    entries.append(make_entry(
-        "v-le-u-gamma",
-        "witness V <= (4 C(p)/alpha + 1) * U_gamma (valid for every p >= 1)",
-        lhs=witness.quotient, rhs=chain_p["constant"] * u_val, slack=eps_u,
-        inputs=_inputs(f_name, p, alpha), informative=inf_u))
-
     if f.dim == 1:
         target = centered if abs(mean) > ZERO_MEAN_TOLERANCE else f
-        v_up_1, chain_1 = (_chain_bound(1, alpha, graded_u(1)) if target is f
-                           else v_gamma_upper_bound(target, 1, alpha, u_grid))
-        k_norm = kantorovich_norm_1d(target)
+        k_norm, target_l1 = kantorovich_norm_1d(target), lp_norm(target, 1)
+
+    entries = []
+    for (p, alpha), witness in zip(pairs, witnesses):
+        cp = cp_closed_form(p)
+        u_val, _, _, eps_u, inf_u = u_p = graded_u(p, alpha)
+        v_up, chain_p = _chain_bound(p, alpha, u_p)
+
+        ct_weights = np.asarray(GaussianConstants.ct(t_grid)) ** alpha
+        ratio, t_star, eps_r, inf_r = _graded(
+            lambda d: _max_ratio(d, ct_weights, t_grid), *diffs[p])
         entries.append(make_entry(
-            "transport-interpolation",
-            "||f||_1 <= 3 V^(1/(1+alpha)) ||f||_K^(alpha/(1+alpha)), V from "
-            "the chain bound at p=1",
-            lhs=lp_norm(target, 1),
-            rhs=3.0 * v_up_1 ** (1.0 / (1.0 + alpha))
-                * k_norm ** (alpha / (1.0 + alpha)),
-            slack=chain_1["u_slack"],
-            inputs=_inputs(f_name, p, alpha, kantorovich=k_norm,
-                           centered=target is centered),
-            informative=chain_1["u_informative"]))
+            "ou-approximation-curve",
+            "||f - T_t f||_p <= 2^(1-alpha) C(p)^alpha c_t^alpha * V at "
+            "every grid t, V from the chain bound",
+            lhs=ratio, rhs=2.0 ** (1.0 - alpha) * cp ** alpha * v_up,
+            slack=max(eps_u, eps_r),
+            inputs=_inputs(f_name, p, alpha, t_star=t_star, v_upper=v_up),
+            informative=inf_u or inf_r))
+
+        lhs_poincare, eps_p, inf_p = _graded(lambda g: (lp_norm(g, p),),
+                                             centered, centered_c)
+        entries.append(make_entry(
+            "poincare",
+            "||f - mean||_p <= 2^(1-2 alpha) pi^alpha C(p)^alpha * V, V "
+            "from the chain bound",
+            lhs=lhs_poincare,
+            rhs=2.0 ** (1.0 - 2.0 * alpha) * math.pi ** alpha * cp ** alpha
+                * v_up,
+            slack=max(eps_u, eps_p),
+            inputs=_inputs(f_name, p, alpha, mean=mean, v_upper=v_up),
+            informative=inf_u or inf_p))
+
+        ratio_t, t_star2, eps_rt, inf_rt = _graded(
+            lambda d: _max_ratio(d, t_grid ** (alpha / 2.0), t_grid),
+            *diffs[p])
+        entries.append(make_entry(
+            "ou-small-time-gradient",
+            "||f - T_t f||_p <= 4 C(p)/alpha * U_gamma * t^(alpha/2) at "
+            "every grid t",
+            lhs=ratio_t, rhs=4.0 * cp / alpha * u_val,
+            slack=max(eps_u, eps_rt),
+            inputs=_inputs(f_name, p, alpha, t_star=t_star2),
+            informative=inf_u or inf_rt))
+
+        q = dual_exponent(p)
+        if q != np.inf:
+            entries.append(make_entry(
+                "u-le-v-gamma",
+                "U_gamma <= C(q)^(1-alpha) * V; both sides grid lower "
+                "bounds, evidence only",
+                lhs=u_val,
+                rhs=cp_closed_form(q) ** (1.0 - alpha) * witness.quotient,
+                slack=SLACK_CAP,
+                inputs=_inputs(f_name, p, alpha), informative=True))
+        entries.append(make_entry(
+            "v-le-u-gamma",
+            "witness V <= (4 C(p)/alpha + 1) * U_gamma (valid for every "
+            "p >= 1)",
+            lhs=witness.quotient, rhs=chain_p["constant"] * u_val,
+            slack=eps_u, inputs=_inputs(f_name, p, alpha), informative=inf_u))
+
+        if f.dim == 1:
+            v_up_1, chain_1 = (
+                _chain_bound(1, alpha, graded_u(1, alpha)) if target is f
+                else v_gamma_upper_bound(target, 1, alpha, u_grid))
+            entries.append(make_entry(
+                "transport-interpolation",
+                "||f||_1 <= 3 V^(1/(1+alpha)) ||f||_K^(alpha/(1+alpha)), V "
+                "from the chain bound at p=1",
+                lhs=target_l1,
+                rhs=3.0 * v_up_1 ** (1.0 / (1.0 + alpha))
+                    * k_norm ** (alpha / (1.0 + alpha)),
+                slack=chain_1["u_slack"],
+                inputs=_inputs(f_name, p, alpha, kantorovich=k_norm,
+                               centered=target is centered),
+                informative=chain_1["u_informative"]))
     return entries
 
 

@@ -55,7 +55,7 @@ from .measures import (
     tv_distance,
 )
 from .ou import semigroup
-from .seminorms import besov_seminorm, v_lower_bound
+from .seminorms import besov_seminorm, v_lower_bounds
 
 OUTPUT_DIR_ENV = "BESOVLAB_OUTPUT_DIR"
 #: the 1D functions of the "default" corpus of every command
@@ -244,14 +244,16 @@ def run_seminorm(config: RunConfig) -> int:
         if f.measure != LEBESGUE:
             raise ConfigError(f"corpus: {name} is Gaussian-tagged; shift "
                               "seminorms need a Lebesgue-tagged function")
-        for p, alpha in config.pairs:
-            est = besov_seminorm(f, p, alpha)
+        ests = [besov_seminorm(f, p, alpha) for p, alpha in config.pairs]
+        # one witness search for every pair whose seminorm is positive
+        witnesses = iter(v_lower_bounds(f, [
+            pair for pair, est in zip(config.pairs, ests) if est.value > 0.0]))
+        for (p, alpha), est in zip(config.pairs, ests):
             row = {"function": name, "p": p, "alpha": alpha,
                    "value": est.value, "witness_h": list(est.witness_h),
                    "cap_limited": est.cap_limited}
             if est.value > 0.0:
-                witness = v_lower_bound(f, p, alpha)
-                row["v_witness_quotient"] = witness.quotient
+                row["v_witness_quotient"] = next(witnesses).quotient
             rows.append(row)
     _write_manifest(out / "seminorms.json", config, {"results": rows})
     return 0
@@ -282,11 +284,12 @@ def run_semigroup(config: RunConfig) -> int:
 
 def run_certify(config: RunConfig) -> int:
     """Certify each function with the suite matching its measure tag and
-    dimension: Lebesgue (1D or 2D), Gaussian 1D, or the 2D projection
-    suite, which runs the first pair only.  The discretization slack
-    coarsens each grid by two, so both point counts must be odd.  A Gaussian
-    function takes no p = inf pair: its chain constant C(p) is infinite
-    (grid.check_tag_exponent)."""
+    dimension: Lebesgue (1D or 2D, one call per pair), Gaussian 1D (one
+    call with every pair, so each function's OU orbit and witness search
+    serve all pairs), or the 2D projection suite, which runs the first pair
+    only.  The discretization slack coarsens each grid by two, so both point
+    counts must be odd.  A Gaussian function takes no p = inf pair: its
+    chain constant C(p) is infinite (grid.check_tag_exponent)."""
     for name in ("shape1d", "shape2d"):
         if getattr(config, name) % 2 == 0:
             raise ConfigError(f"{name}: certify needs an odd point count, "
@@ -303,13 +306,15 @@ def run_certify(config: RunConfig) -> int:
     entries = []
     for name, f in corpus:
         if f.measure == GAUSSIAN and f.dim == 2:
-            p, alpha = config.pairs[0]
-            entries.extend(certify_projection_suite(f, p, alpha, f_name=name))
-            continue
-        suite = (certify_gaussian_suite if f.measure == GAUSSIAN
-                 else certify_lebesgue_suite)
-        for p, alpha in config.pairs:
-            entries.extend(suite(f, p, alpha, t_grid=t_grid, f_name=name))
+            entries.extend(certify_projection_suite(f, *config.pairs[0],
+                                                    f_name=name))
+        elif f.measure == GAUSSIAN:
+            entries.extend(certify_gaussian_suite(f, config.pairs,
+                                                  t_grid=t_grid, f_name=name))
+        else:
+            for p, alpha in config.pairs:
+                entries.extend(certify_lebesgue_suite(
+                    f, p, alpha, t_grid=t_grid, f_name=name))
     write_certificates(entries, out / "certificates.json",
                        config=config.echo())
     bad = failures(entries)

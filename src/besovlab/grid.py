@@ -364,7 +364,8 @@ def gradient(f: GridFunction) -> VectorFieldGrid:
 def divergence(phi: VectorFieldGrid) -> GridFunction:
     out = np.zeros(phi.components[0].shape)
     for axis, comp in enumerate(phi.components):
-        out += partial_derivative(comp, axis).samples
+        if np.any(comp.samples):  # the zero components of an along() field
+            out += partial_derivative(comp, axis).samples
     return phi.components[0].with_samples(out)
 
 

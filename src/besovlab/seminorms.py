@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -115,21 +114,23 @@ def _estimate(f, p, alpha, shifts):
     cap = max(mags)
     direction = best_h / np.linalg.norm(best_h)
 
-    # one local refinement pass: golden-section in magnitude around the argmax
-    lo = mags[k] / 1.6
-    hi = min(mags[k] * 1.6, cap)
-    lo = max(lo, 2.0 * max(f.dx))
-    a, b = lo, hi
+    # one local refinement pass: golden-section in magnitude around the
+    # argmax; the kept inner point is the next step's other inner point, so
+    # each step after the first evaluates one new quotient
+    a = max(mags[k] / 1.6, 2.0 * max(f.dx))
+    b = min(mags[k] * 1.6, cap)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    m1, m2 = b - invphi * (b - a), a + invphi * (b - a)
+    v1 = v2 = None
     for _ in range(BISECTION_STEPS):
-        m1 = b - invphi * (b - a)
-        m2 = a + invphi * (b - a)
-        v1 = shift_quotient(f, m1 * direction, p, alpha)
-        v2 = shift_quotient(f, m2 * direction, p, alpha)
+        v1 = shift_quotient(f, m1 * direction, p, alpha) if v1 is None else v1
+        v2 = shift_quotient(f, m2 * direction, p, alpha) if v2 is None else v2
         if v1 >= v2:
-            b = m2
+            b, m2, v2 = m2, m1, v1
+            m1, v1 = b - invphi * (b - a), None
         else:
-            a = m1
+            a, m1, v1 = m1, m2, v2
+            m2, v2 = a + invphi * (b - a), None
     m_star = 0.5 * (a + b)
     v_star = shift_quotient(f, m_star * direction, p, alpha)
     if v_star > best:
@@ -276,6 +277,21 @@ def _antiderivative_shift(phi: GridFunction, h, axis) -> GridFunction:
     return phi.with_samples(shifted.samples + end - acc)
 
 
+def _segment_difference(f: GridFunction, h, axis) -> GridFunction:
+    """f_h - f for the shift h e_axis."""
+    vec = np.zeros(f.dim)
+    vec[axis] = h
+    return f.with_samples(shift(f, vec).samples - f.samples)
+
+
+def _segment_witness(f, h, axis, diff, p, alpha) -> QuotientWitness:
+    """psi_witness from the difference diff = f_h - f."""
+    psi = _antiderivative_shift(_dual_optimal(diff, p), h, axis)
+    e = Direction(tuple(1.0 if i == axis else 0.0 for i in range(f.dim)))
+    return v_quotient(f, along(psi, e), p, alpha,
+                      construction=f"segment-integral h={h:.6g} axis={axis}")
+
+
 def psi_witness(f: GridFunction, h: float, axis: int, p, alpha) -> QuotientWitness:
     """The proof-construction witness at one shift magnitude.
 
@@ -285,14 +301,8 @@ def psi_witness(f: GridFunction, h: float, axis: int, p, alpha) -> QuotientWitne
     to mollification error.
     """
     require_tag(f, LEBESGUE, "the segment-integral witness")
-    vec = np.zeros(f.dim)
-    vec[axis] = h
-    g = f.with_samples(shift(f, vec).samples - f.samples)
-    phi = _dual_optimal(g, p)
-    psi = _antiderivative_shift(phi, h, axis)
-    e = Direction(tuple(1.0 if i == axis else 0.0 for i in range(f.dim)))
-    return v_quotient(f, along(psi, e), p, alpha,
-                      construction=f"segment-integral h={h:.6g} axis={axis}")
+    return _segment_witness(f, h, axis, _segment_difference(f, h, axis), p,
+                            alpha)
 
 
 def semigroup_witness(f: GridFunction, t: float, p, alpha) -> QuotientWitness:
@@ -308,8 +318,18 @@ def semigroup_witness(f: GridFunction, t: float, p, alpha) -> QuotientWitness:
     the rho-mean; in 2D the integral runs over u = sqrt(s) on
     SEMIGROUP_NODES Gauss-Legendre nodes.
     """
+    return _semigroup_witness(f, t, _semigroup_difference(f, t), p, alpha)
+
+
+def _semigroup_difference(f: GridFunction, t) -> GridFunction:
+    """S_t f - f, with S the semigroup of f's tag."""
+    return f.with_samples(semigroup(f)[0](f, t).samples - f.samples)
+
+
+def _semigroup_witness(f, t, diff, p, alpha) -> QuotientWitness:
+    """semigroup_witness from the difference diff = S_t f - f."""
     apply_fn, grad = semigroup(f)
-    phi = _dual_optimal(f.with_samples(apply_fn(f, t).samples - f.samples), p)
+    phi = _dual_optimal(diff, p)
     if f.dim == 1:
         rho = density(f)
         g = apply_fn(phi, t).samples - phi.samples
@@ -331,45 +351,57 @@ def semigroup_witness(f: GridFunction, t: float, p, alpha) -> QuotientWitness:
                       construction=f"semigroup-integral t={t:.6g}")
 
 
-def v_lower_bound(f: GridFunction, p, alpha) -> QuotientWitness:
-    """Best lower-bound witness of the two proof constructions.
+def v_lower_bounds(f: GridFunction, pairs) -> list:
+    """Best lower-bound witness of the two proof constructions, for each
+    (p, alpha) of pairs, in order.
 
     The segment-integral witnesses at 12 shift magnitudes per axis (Lebesgue
-    targets) and the semigroup-integral witnesses at every SEMIGROUP_T.  A
-    Lebesgue candidate is a test object only if it vanishes at the box edge
-    (grid.edge_ratio within EDGE_TOLERANCE); others are skipped.  Gaussian
-    fields are not cut.  Deterministic: no random search, no seed.  A
-    Gaussian target at p = inf is rejected (grid.check_tag_exponent).
+    targets) and the semigroup-integral witnesses at every SEMIGROUP_T.  The
+    difference f_h - f or S_t f - f of a candidate does not depend on
+    (p, alpha), so it is computed once and serves every pair; every pair
+    sees the same candidates in the same order.  A Lebesgue candidate is a
+    test object only if it vanishes at the box edge (grid.edge_ratio within
+    EDGE_TOLERANCE); others are skipped.  Gaussian fields are not cut.
+    Deterministic: no random search, no seed.  A Gaussian target at p = inf
+    is rejected (grid.check_tag_exponent).
     """
-    check_exponents(p, alpha)
-    check_tag_exponent(f, p)
-    attempts = []
-    if f.measure == LEBESGUE:
-        attempts = [partial(psi_witness, f, float(h), axis, p, alpha)
-                    for axis in range(f.dim)
-                    for h in default_shift_magnitudes(f, num=12)]
-    attempts += [partial(semigroup_witness, f, float(t), p, alpha)
-                 for t in SEMIGROUP_T]
-    best = None
-    for build in attempts:
-        try:
-            w = build()
-        except ValueError:
-            continue
-        if (f.measure == LEBESGUE
-                and edge_ratio(w.field.magnitude().samples) > EDGE_TOLERANCE):
-            continue
-        if best is None or w.quotient > best.quotient:
-            best = w
-    if best is None:
-        if np.any(f.samples):
-            raise RuntimeError("no admissible witness found")
-        # every construction degenerates on f = 0, where any field attains
-        # V = 0; take the Gaussian bump in each component
-        bump = f.with_samples(gaussian_density(f))
-        best = v_quotient(f, VectorFieldGrid((bump,) * f.dim), p, alpha,
-                          construction="zero-target")
+    for p, alpha in pairs:
+        check_exponents(p, alpha)
+        check_tag_exponent(f, p)
+    candidates = [(_segment_difference, _segment_witness, (float(h), axis))
+                  for axis in range(f.dim)
+                  for h in default_shift_magnitudes(f, num=12)
+                  ] if f.measure == LEBESGUE else []
+    candidates += [(_semigroup_difference, _semigroup_witness, (float(t),))
+                   for t in SEMIGROUP_T]
+    best = [None] * len(pairs)
+    for difference, build, args in candidates if pairs else ():
+        diff = difference(f, *args)
+        for i, pair in enumerate(pairs):
+            try:
+                w = build(f, *args, diff, *pair)
+            except ValueError:
+                continue
+            if (f.measure == LEBESGUE and edge_ratio(
+                    w.field.magnitude().samples) > EDGE_TOLERANCE):
+                continue
+            if best[i] is None or w.quotient > best[i].quotient:
+                best[i] = w
+    for i, pair in enumerate(pairs):
+        if best[i] is None:
+            if np.any(f.samples):
+                raise RuntimeError("no admissible witness found")
+            # every construction degenerates on f = 0, where any field
+            # attains V = 0; take the Gaussian bump in each component
+            bump = f.with_samples(gaussian_density(f))
+            best[i] = v_quotient(f, VectorFieldGrid((bump,) * f.dim), *pair,
+                                 construction="zero-target")
     return best
+
+
+def v_lower_bound(f: GridFunction, p, alpha) -> QuotientWitness:
+    """v_lower_bounds for the one pair (p, alpha)."""
+    return v_lower_bounds(f, [(p, alpha)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -165,10 +165,12 @@ def test_criterion_08_gaussian_poincare():
     assert lhs <= rhs, f"margin {rhs - lhs:.4f}"
     # full corpus through the theorem-chain V upper bounds
     for name in GAUSSIAN_CORPUS_1D:
-        g = build_corpus(name)
-        for p, alpha in ((2.0, 0.5), (2.0, 1.0)):
-            entries = certify_gaussian_suite(g, p, alpha, f_name=name)
-            assert not failures(entries), (name, p, alpha)
+        entries = certify_gaussian_suite(build_corpus(name),
+                                         [(2.0, 0.5), (2.0, 1.0)],
+                                         f_name=name)
+        bad = [(e.inputs["p"], e.inputs["alpha"], e.name)
+               for e in failures(entries)]
+        assert not bad, (name, bad)
 
 
 def test_criterion_09_transport_interpolation():
@@ -179,12 +181,14 @@ def test_criterion_09_transport_interpolation():
     assert lhs == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-4)
     assert k == pytest.approx(1.0, abs=1e-5)
     assert lhs <= 3.0 * 1.0 * math.sqrt(k)
-    g = build_corpus("hermite(2)")
+    entries = certify_gaussian_suite(build_corpus("hermite(2)"),
+                                     [(1, 0.5), (1, 1.0)],
+                                     f_name="hermite(2)")
     for alpha in (0.5, 1.0):
-        entries = certify_gaussian_suite(g, 1, alpha, f_name="hermite(2)")
         transport = [e for e in entries
-                     if e.name == "transport-interpolation"]
-        assert transport and transport[0].passed, alpha
+                     if e.name == "transport-interpolation"
+                     and e.inputs["alpha"] == alpha]
+        assert transport and transport[0].passed, (1, alpha)
 
 
 def test_criterion_10_projection_suite():

@@ -139,7 +139,7 @@ class TestLebesgueSuite:
 
 @pytest.fixture(scope="module")
 def linear_entries():
-    return certify_gaussian_suite(build_corpus("hermite(1)"), 2, 1.0,
+    return certify_gaussian_suite(build_corpus("hermite(1)"), [(2, 1.0)],
                                   f_name="hermite(1)")
 
 
@@ -160,8 +160,8 @@ class TestGaussianSuite:
         assert not failures(linear_entries)
 
     def test_hermite2_suite_p1(self):
-        entries = certify_gaussian_suite(build_corpus("hermite(2)"), 1, 0.5,
-                                         f_name="hermite(2)")
+        entries = certify_gaussian_suite(build_corpus("hermite(2)"),
+                                         [(1, 0.5)], f_name="hermite(2)")
         assert not failures(entries)
         names = {e.name for e in entries}
         # q = infinity at p = 1: the evidence-only arm is dropped
@@ -170,12 +170,12 @@ class TestGaussianSuite:
 
     def test_rejects_lebesgue_tag(self):
         with pytest.raises(ValueError):
-            certify_gaussian_suite(build_corpus("bump"), 2, 0.5)
+            certify_gaussian_suite(build_corpus("bump"), [(2, 0.5)])
 
     def test_chain_bound_from_v_gamma_upper_bound(self):
         f = build_corpus("hermite(2)", shape=(1025,))
         t_grid = default_t_grid(4)
-        entries = certify_gaussian_suite(f, 2, 0.5, t_grid=t_grid)
+        entries = certify_gaussian_suite(f, [(2, 0.5)], t_grid=t_grid)
         v_up, chain = v_gamma_upper_bound(f, 2, 0.5, t_grid)
         byname = {e.name: e for e in entries}
         assert byname["ou-approximation-curve"].inputs["v_upper"] == v_up
@@ -195,15 +195,45 @@ class TestGaussianSuite:
 
         monkeypatch.setattr(ou, "_ou_axis_average", counting)
         f = build_corpus("hermite(2)", shape=(129,))
-        certify_gaussian_suite(f, p, alpha, t_grid=default_t_grid(4))
+        certify_gaussian_suite(f, [(p, alpha)], t_grid=default_t_grid(4))
         assert len(calls) == 20
+
+    def test_one_ou_sweep_for_every_pair(self, monkeypatch):
+        # the 8 sweep passes and the witnesses' six S_t f serve both pairs;
+        # each pair adds only its six T_t phi: 8 + 6 + 2 * 6 = 26, where
+        # one call per pair makes 2 * 20 = 40
+        calls = []
+
+        def counting(*args, _fn=ou._ou_axis_average):
+            calls.append(args[1:])
+            return _fn(*args)
+
+        monkeypatch.setattr(ou, "_ou_axis_average", counting)
+        f = build_corpus("hermite(2)", shape=(129,))
+        certify_gaussian_suite(f, [(1, 1.0), (2, 0.5)],
+                               t_grid=default_t_grid(4))
+        assert len(calls) == 26
+
+    @pytest.mark.parametrize("name", ["hermite(0)", "hermite(3)"])
+    def test_pairs_in_one_call_match_one_call_each(self, name):
+        # the shared orbit repeats the same arithmetic, so every entry is
+        # bit-identical to the one-pair call's, in the order of the pairs;
+        # hermite(0) takes the centered transport target
+        f = build_corpus(name, shape=(129,))
+        pairs = [(1, 1.0), (2, 0.5), (1, 1.0)]
+        t_grid = default_t_grid(4)
+        together = certify_gaussian_suite(f, pairs, t_grid=t_grid)
+        apart = [e for pair in pairs
+                 for e in certify_gaussian_suite(f, [pair], t_grid=t_grid)]
+        assert [e.to_dict() for e in together] == \
+            [e.to_dict() for e in apart]
 
     def test_transport_slack_is_the_p1_chain_slack(self):
         # the transport entry bounds V by the chain at p = 1, so its slack is
         # the grid-doubling slack of U_gamma at p = 1, not at the suite's p
         f = build_corpus("hermite(3)", shape=(1025,))
         t_grid = default_t_grid(4)
-        entries = certify_gaussian_suite(f, 2, 0.5, t_grid=t_grid)
+        entries = certify_gaussian_suite(f, [(2, 0.5)], t_grid=t_grid)
         e = [x for x in entries if x.name == "transport-interpolation"][0]
         u1 = u_gamma_functional(f, 1, 0.5, t_grid)[0]
         u1_c = u_gamma_functional(coarsen(f), 1, 0.5, t_grid)[0]
@@ -222,7 +252,7 @@ class TestGaussianSuite:
         x = np.linspace(-8.0, 8.0, n)
         f = GridFunction(((-8.0, 8.0),), samples(x), GAUSSIAN)
         t_grid = np.array([0.3, 30.0])
-        entries = certify_gaussian_suite(f, p, 1.0, t_grid=t_grid)
+        entries = certify_gaussian_suite(f, [(p, 1.0)], t_grid=t_grid)
         byname = {e.name: e for e in entries}
         chain = byname["v-le-u-gamma"]
         pairs = {}
@@ -250,7 +280,7 @@ class TestGaussianSuite:
         # a 1.2e-15 residue with a 1e-23 bound
         f = build_corpus("hermite(0)", shape=(1025,))
         for p in (1, 2):
-            entries = certify_gaussian_suite(f, p, 0.5,
+            entries = certify_gaussian_suite(f, [(p, 0.5)],
                                              t_grid=default_t_grid(4))
             byname = {e.name: e for e in entries}
             assert byname["poincare"].lhs == 0.0
@@ -263,7 +293,8 @@ class TestGaussianSuite:
         f = _spike_pair()
         assert abs(integrate(f)) <= 1e-8
         assert kantorovich_norm_1d(f) > 0.0
-        entries = certify_gaussian_suite(f, 2, 0.5, t_grid=default_t_grid(4))
+        entries = certify_gaussian_suite(f, [(2, 0.5)],
+                                         t_grid=default_t_grid(4))
         e = [x for x in entries if x.name == "transport-interpolation"][0]
         assert not e.inputs["centered"]
 

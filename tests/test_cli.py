@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 import besovlab
 from besovlab import __version__, cli, heat, ou
-from besovlab.certify import certify_projection_suite
+from besovlab.certify import (
+    certify_gaussian_suite,
+    certify_projection_suite,
+)
 from besovlab.cli import (
     ConfigError,
     RunConfig,
@@ -20,6 +23,7 @@ from besovlab.cli import (
     validate,
 )
 from besovlab.corpus import build_corpus
+from besovlab.seminorms import v_lower_bound, v_lower_bounds
 
 _unit = st.floats(0.0, 1.0, exclude_min=True)
 
@@ -201,6 +205,42 @@ class TestArtifacts:
         manifest = json.loads(
             (tmp_path / "semigroup_manifest.json").read_text())
         assert len(manifest["curves"]) == 14
+
+    def test_certify_one_gaussian_suite_call_per_function(self, tmp_path,
+                                                         monkeypatch):
+        # both default pairs go to one call, which builds the OU orbit once
+        calls = []
+
+        def counting(f, pairs, **kwargs):
+            calls.append(tuple(pairs))
+            return certify_gaussian_suite(f, pairs, **kwargs)
+
+        monkeypatch.setattr(cli, "certify_gaussian_suite", counting)
+        assert main(["certify", "corpus=hermite(2)", "shape1d=129",
+                     "t_points=4", f"output_dir={tmp_path}"]) == 0
+        assert calls == [((1.0, 1.0), (2.0, 0.5))]
+
+    def test_seminorm_witness_search_once_per_function(self, tmp_path,
+                                                       monkeypatch):
+        # one search for the pairs whose seminorm is positive, none for the
+        # zero function; the quotients are those of one search per pair
+        calls = []
+
+        def counting(f, pairs):
+            calls.append(tuple(pairs))
+            return v_lower_bounds(f, pairs)
+
+        monkeypatch.setattr(cli, "v_lower_bounds", counting)
+        assert main(["seminorm", "corpus=hat,zero", "shape1d=129",
+                     f"output_dir={tmp_path}"]) == 0
+        assert calls == [((1.0, 1.0), (2.0, 0.5)), ()]
+        rows = json.loads((tmp_path / "seminorms.json").read_text())[
+            "results"]
+        hat = build_corpus("hat", shape=(129,))
+        for row in rows[:2]:
+            assert row["v_witness_quotient"] == v_lower_bound(
+                hat, row["p"], row["alpha"]).quotient
+        assert all("v_witness_quotient" not in row for row in rows[2:])
 
     def test_corpus_deterministic(self, tmp_path, monkeypatch):
         # identical config, destination redirected by the environment

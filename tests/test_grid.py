@@ -12,6 +12,7 @@ from besovlab.grid import (
     GridFunction,
     MeasureMismatchError,
     VectorFieldGrid,
+    along,
     density,
     directional_derivative,
     divergence,
@@ -22,6 +23,7 @@ from besovlab.grid import (
     integrate,
     load,
     lp_norm,
+    partial_derivative,
     quad_weights,
     save,
     shift,
@@ -182,6 +184,24 @@ class TestDivergence:
         f = build_corpus("bump", shape=(257,))
         with pytest.raises(MeasureMismatchError):
             divergence_gamma(VectorFieldGrid((f,)))
+
+
+ALONG_CASES = [("bump", (1.0,)), ("bump2d", (1.0, 0.0)),
+               ("bump2d", (0.0, 1.0)),
+               ("bump2d", (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)))]
+
+
+@pytest.mark.parametrize("name, e", ALONG_CASES)
+def test_divergence_skips_zero_components_bit_for_bit(name, e):
+    # divergence skips the all-zero components of an along() field; adding
+    # their +-0 derivative changes no bit, so it equals the sum over every
+    # component
+    f = build_corpus(name, shape=(65,) * len(e))
+    phi = along(f, Direction(e))
+    div = np.zeros(f.shape)
+    for axis, comp in enumerate(phi.components):
+        div += partial_derivative(comp, axis).samples
+    assert np.array_equal(divergence(phi).samples, div)
 
 
 class TestGaussianDuality:

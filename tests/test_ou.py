@@ -560,4 +560,4 @@ class TestSemigroupDispatch:
         assert called(lambda: certify_lebesgue_suite(
             hat, 2, 0.5, t_grid=t_grid)) == {"heat_apply", "heat_gradient"}
         assert called(lambda: certify_gaussian_suite(
-            h2, 2, 0.5, t_grid=t_grid)) == {"ou_apply"}
+            h2, [(2, 0.5)], t_grid=t_grid)) == {"ou_apply"}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besovlab import seminorms
 from besovlab.corpus import (
     LEBESGUE_CORPUS_1D,
     LEBESGUE_CORPUS_2D,
@@ -14,6 +15,7 @@ from besovlab.corpus import (
 from besovlab.grid import (
     EDGE_TOLERANCE,
     GAUSSIAN,
+    LEBESGUE,
     Direction,
     GridFunction,
     VectorFieldGrid,
@@ -34,11 +36,29 @@ from besovlab.seminorms import (
     semigroup_witness,
     shift_quotient,
     v_lower_bound,
+    v_lower_bounds,
     v_quotient,
 )
 
 
 class TestBesovSeminorm:
+    @pytest.mark.parametrize("name, shape, count", [("hat", (129,), 67),
+                                                    ("hat2d", (97, 97), 147)])
+    def test_golden_section_reuses_one_point_per_step(self, monkeypatch,
+                                                      name, shape, count):
+        # 40 default shifts per direction (one in 1D, three in 2D), then 25
+        # golden-section steps: two quotients for the first, one new point
+        # for each later step, and one at the final bracket's midpoint
+        calls = []
+
+        def counting(*args, _fn=seminorms.shift_quotient):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(seminorms, "shift_quotient", counting)
+        besov_seminorm(build_corpus(name, shape=shape), 2, 0.5)
+        assert len(calls) == count
+
     def test_zero_function(self):
         f = GridFunction(((-8.0, 8.0),), np.zeros(1025))
         assert besov_seminorm(f, 1, 0.5).value == 0.0
@@ -239,6 +259,44 @@ class TestSemigroupWitness:
         assert w.construction.startswith("semigroup-integral")
 
 
+#: a repeated pair, and p = inf, which only Lebesgue targets take
+MANY_PAIRS = [(1, 1.0), (2, 0.5), (1, 1.0), (np.inf, 0.5)]
+
+
+class TestWitnessesOfManyPairs:
+    @pytest.mark.parametrize("name, shape", [
+        ("hat", (129,)), ("indicator", (129,)), ("bump", (129,)),
+        ("hat2d", (97, 97)), ("hermite(1)", (129,)), ("hermite(2)", (129,)),
+        ("hermite(3)", (129,))])
+    def test_each_pair_as_its_own_search(self, name, shape):
+        # the shared differences repeat the same arithmetic, and every pair
+        # sees the same candidates in the same order, so each witness is
+        # the one-pair search's, field and all
+        f = build_corpus(name, shape=shape)
+        pairs = MANY_PAIRS if f.measure == LEBESGUE else MANY_PAIRS[:3]
+        many = v_lower_bounds(f, pairs)
+        assert len(many) == len(pairs)
+        for w, (p, alpha) in zip(many, pairs):
+            one = v_lower_bound(f, p, alpha)
+            assert (w.quotient, w.construction) == \
+                (one.quotient, one.construction)
+            assert all(np.array_equal(a.samples, b.samples) for a, b in
+                       zip(w.field.components, one.field.components))
+
+    def test_every_pair_checked_before_the_search(self, monkeypatch):
+        # the second pair is rejected before any difference is computed
+        def unreachable(*args):
+            raise AssertionError("searched before checking every pair")
+
+        monkeypatch.setattr(seminorms, "_semigroup_difference", unreachable)
+        f = build_corpus("hermite(2)", shape=(129,))
+        with pytest.raises(ValueError, match="C\\(p\\) is infinite"):
+            v_lower_bounds(f, [(2, 0.5), (np.inf, 0.5)])
+        with pytest.raises(ValueError, match="alpha must"):
+            v_lower_bounds(f, [(2, 0.5), (2, 1.5)])
+        assert v_lower_bounds(f, []) == []
+
+
 WITNESS_CASES = ([(name, (1025,)) for name in LEBESGUE_CORPUS_1D]
                  + [(name, (97, 97)) for name in LEBESGUE_CORPUS_2D])
 
@@ -343,6 +401,7 @@ def test_besov_seminorm_translation_covariant_from_the_formula(name, n, p,
 EXPONENT_ENTRIES = {
     "besov_seminorm": besov_seminorm,
     "v_lower_bound": v_lower_bound,
+    "v_lower_bounds": lambda f, p, alpha: v_lower_bounds(f, [(p, alpha)]),
     "u_functional": u_functional,
     "v_quotient": lambda f, p, alpha: v_quotient(f, VectorFieldGrid((f,)),
                                                  p, alpha),
