@@ -14,7 +14,6 @@ flagged informative.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ from .grid import (
     center,
     coarsen,
     dual_exponent,
+    json_text,
     lp_norm,
     require_tag,
 )
@@ -283,7 +283,9 @@ def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
     coarsen(f), gives every ||g - T_t g||_p and every U_gamma of the
     entries, at each p and at p = 1 for the transport entry, and one
     v_lower_bounds call gives every witness.  U_gamma reads all grid t when
-    there are at most 16, else every fourth.
+    there are at most 16, else every fourth.  A 1D f with nonzero mean has
+    the centered f as its transport target, whose grad T_t at those t is
+    computed once per call, on it and on its coarsening.
     """
     require_tag(f, GAUSSIAN, "the Gaussian suite")
     witnesses = v_lower_bounds(f, pairs)
@@ -298,19 +300,22 @@ def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
              for p in {p for p, _ in pairs}}
     grads = [[grad for _, grad in sweep[::step]] for sweep in sweeps]
 
-    def graded_u(r, alpha):
-        return _graded(lambda fields: gradient_supremum(fields, u_grid, r,
-                                                        alpha), *grads)
+    def graded_u(r, alpha, fields):
+        return _graded(lambda level: gradient_supremum(level, u_grid, r,
+                                                       alpha), *fields)
 
     (mean, centered), (_, centered_c) = center(f), center(fc)
     if f.dim == 1:
         target = centered if abs(mean) > ZERO_MEAN_TOLERANCE else f
         k_norm, target_l1 = kantorovich_norm_1d(target), lp_norm(target, 1)
+        target_grads = grads if target is f else [
+            [ou_step(g, t)[1] for t in u_grid]
+            for g in (target, coarsen(target))]
 
     entries = []
     for (p, alpha), witness in zip(pairs, witnesses):
         cp = cp_closed_form(p)
-        u_val, _, _, eps_u, inf_u = u_p = graded_u(p, alpha)
+        u_val, _, _, eps_u, inf_u = u_p = graded_u(p, alpha, grads)
         v_up, chain_p = _chain_bound(p, alpha, u_p)
 
         ct_weights = np.asarray(GaussianConstants.ct(t_grid)) ** alpha
@@ -368,9 +373,8 @@ def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
             slack=eps_u, inputs=_inputs(f_name, p, alpha), informative=inf_u))
 
         if f.dim == 1:
-            v_up_1, chain_1 = (
-                _chain_bound(1, alpha, graded_u(1, alpha)) if target is f
-                else v_gamma_upper_bound(target, 1, alpha, u_grid))
+            v_up_1, chain_1 = _chain_bound(1, alpha,
+                                           graded_u(1, alpha, target_grads))
             entries.append(make_entry(
                 "transport-interpolation",
                 "||f||_1 <= 3 V^(1/(1+alpha)) ||f||_K^(alpha/(1+alpha)), V "
@@ -456,7 +460,7 @@ def entries_to_json(entries, config=None) -> str:
         "entries": [e.to_dict() for e in
                     sorted(entries, key=lambda e: (e.name, repr(e.inputs)))],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def write_certificates(entries, path, config=None):

@@ -12,7 +12,6 @@ certificate entry failed (or a chaining check of ``measure`` failed),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -41,11 +40,11 @@ from .counterexample import (
     CounterexampleSpec,
     build_counterexample,
     directional_bound_scan,
-    profile_to_csv,
     slice_blowup_profile,
 )
 from .grid import (DEFAULT_GRIDS, GAUSSIAN, LEBESGUE, Direction,
-                   GridFunction, check_exponents, check_tag_exponent, to_csv)
+                   GridFunction, check_exponents, check_tag_exponent,
+                   json_text, to_csv, write_csv)
 from .heat import default_t_grid, gradient_supremum
 from .measures import (
     chaining_check,
@@ -214,8 +213,7 @@ def _resolve_corpus(config: RunConfig, default_names):
 
 
 def _write_manifest(path: Path, config: RunConfig, extra):
-    payload = {"config": config.echo(), **extra}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json_text({"config": config.echo(), **extra}))
 
 
 def _stem(name):
@@ -335,13 +333,12 @@ def run_counterexample(config: RunConfig) -> int:
     for y in ys:
         value, k_star = slice_blowup_profile(f, float(y), config.alpha)
         profile_rows.append((float(y), value, k_star))
-    profile_to_csv(profile_rows, out / "blowup_profile.csv",
-                   header=("y", "value", "argmax_k"))
+    write_csv(out / "blowup_profile.csv", ("y", "value", "argmax_k"),
+              profile_rows)
     scan = directional_bound_scan(
         spec, config.n_list, shape=(config.shape2d, config.shape2d))
-    profile_to_csv([(n, float(q)) for n, q, _ in scan],
-                   out / "directional_scan.csv",
-                   header=("N", "max_quotient"))
+    write_csv(out / "directional_scan.csv", ("N", "max_quotient"),
+              [(n, q) for n, q, _ in scan])
     _write_manifest(out / "counterexample_manifest.json", config,
                     {"spec": spec.to_dict(), "tail_energy": tail})
     return 0
@@ -353,10 +350,7 @@ def run_measure(config: RunConfig) -> int:
     mu = measure_from_density(GridFunction(
         DEFAULT_GRIDS[1].bounds, np.ones(config.shape1d), GAUSSIAN))
     curve, fit = holder_profile(mu, Direction((1.0,)))
-    with open(out / "holder_profile.csv", "w") as fh:
-        fh.write("t,tv\n")
-        for t, v in curve:
-            fh.write(f"{t:.17g},{v:.17g}\n")
+    write_csv(out / "holder_profile.csv", ("t", "tv"), curve)
     spec = CounterexampleSpec(config.alpha, config.n_terms)
     f, _ = build_counterexample(spec,
                                 shape=(config.shape2d, config.shape2d))

@@ -10,7 +10,6 @@ violates the k^(-alpha) decay that slice smoothness would force.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -229,16 +228,3 @@ def directional_bound_scan(spec: CounterexampleSpec, n_list, shape=None):
                 best, best_name = val, name
         rows.append((int(n), best, best_name))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Export
-
-
-def profile_to_csv(rows, path, header=("k", "value")):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])

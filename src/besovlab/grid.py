@@ -8,6 +8,7 @@ the function carries the Gaussian tag.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 
@@ -313,6 +314,30 @@ def shift_axis(values, cells, axis):
     return out
 
 
+def shift_values(values, h, dx):
+    """Node values moved by the vector h: one shift_axis pass per axis with
+    a nonzero cell count h_j / dx_j, the one shift loop of functions and
+    measures.
+
+    Returns (moved, inside), where inside marks the nodes whose source point
+    x - h lies in the box.
+    """
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    if h.shape != (values.ndim,):
+        raise ValueError("shift vector dimension mismatch")
+    inside = np.ones(values.shape, dtype=bool)
+    for axis, (hj, dxj, n) in enumerate(zip(h, dx, values.shape)):
+        cells = hj / dxj
+        if cells == 0.0:
+            continue
+        values = shift_axis(values, cells, axis)
+        src = np.arange(n) - cells
+        keep = (src >= 0.0) & (src <= n - 1)
+        inside &= keep.reshape([n if a == axis else 1
+                                for a in range(values.ndim)])
+    return values, inside
+
+
 def shift(f: GridFunction, h) -> GridFunction:
     """f_h(x) = f(x - h) by linear interpolation, zero outside the box.
 
@@ -322,21 +347,9 @@ def shift(f: GridFunction, h) -> GridFunction:
     functions.
     """
     require_tag(f, LEBESGUE, "shift")
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    if h.shape != (f.dim,):
-        raise ValueError("shift vector dimension mismatch")
     if float(np.linalg.norm(h)) > shift_cap(f) * (1.0 + 1e-12):
         raise ValueError("shift exceeds the boundary-error cap")
-    vals = f.samples
-    inside = np.ones(f.shape, dtype=bool)
-    for axis, (hj, dxj, n) in enumerate(zip(h, f.dx, f.shape)):
-        cells = hj / dxj
-        if cells == 0.0:
-            continue
-        vals = shift_axis(vals, cells, axis)
-        src = np.arange(n) - cells
-        keep = (src >= 0.0) & (src <= n - 1)
-        inside &= keep.reshape([n if a == axis else 1 for a in range(f.dim)])
+    vals, inside = shift_values(f.samples, h, f.dx)
     return f.with_samples(np.where(inside, vals, 0.0))
 
 
@@ -404,17 +417,25 @@ def load(path) -> GridFunction:
         return GridFunction(bounds, data["samples"], str(data["measure"]))
 
 
-def to_csv(f: GridFunction, path) -> None:
-    """One coordinate tuple + value per line."""
-    axes = f.axes()
+def write_csv(path, header, rows):
+    """The one CSV format of every artifact: the header row, then the rows,
+    through csv.writer; every real is written as repr(float(v)), which reads
+    back to the same float, and every other item unchanged."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(f.dim)] + ["value"])
-        if f.dim == 1:
-            for x, v in zip(axes[0], f.samples):
-                writer.writerow([repr(float(x)), repr(float(v))])
-        else:
-            for i, x in enumerate(axes[0]):
-                for j, y in enumerate(axes[1]):
-                    writer.writerow([repr(float(x)), repr(float(y)),
-                                     repr(float(f.samples[i, j]))])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating))
+                          else v for v in row] for row in rows)
+
+
+def json_text(payload) -> str:
+    """The one JSON text of every artifact: sorted keys, two-space indent,
+    a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def to_csv(f: GridFunction, path) -> None:
+    """One coordinate tuple + value per line, nodes in row-major order."""
+    columns = [x.ravel() for x in f.meshgrid()] + [f.samples.ravel()]
+    write_csv(path, [f"x{i + 1}" for i in range(f.dim)] + ["value"],
+              zip(*columns))

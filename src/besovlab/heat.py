@@ -8,7 +8,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .grid import (LEBESGUE, GridFunction, VectorFieldGrid, check_exponents,
-                   field_lq_norm, require_tag)
+                   field_lq_norm, require_tag, write_csv)
 
 #: kernel truncation radius in units of sqrt(t); tail mass below 1e-15
 KERNEL_RADIUS_SIGMAS = 8.0
@@ -40,10 +40,7 @@ class SemigroupCurve:
         return np.array([v for _, v in self.entries])
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,value\n")
-            for t, v in self.entries:
-                fh.write(f"{t:.17g},{v:.17g}\n")
+        write_csv(path, ("t", "value"), self.entries)
 
 
 def default_t_grid(num=64):
@@ -82,29 +79,30 @@ def _axis_kernel(t, dx, n):
     return u, kernel / np.sum(kernel)
 
 
+def _heat_pass(f: GridFunction, t, derivative_axis):
+    """One separable convolution of f with the variance-t kernel, whose
+    factor along derivative_axis (None for no axis) is the kernel's
+    derivative: P_t f, or the component of grad P_t f along that axis."""
+    out = f.samples
+    for axis in range(f.dim):
+        u, kernel = _axis_kernel(t, f.dx[axis], f.shape[axis])
+        if axis == derivative_axis:
+            kernel = kernel * (-u / t)
+        out = _convolve_axis(out, kernel, axis)
+    return f.with_samples(out)
+
+
 def heat_apply(f: GridFunction, t: float) -> GridFunction:
     """Convolution with the variance-t Gaussian kernel (zero extension)."""
     check_semigroup_args(f, t, LEBESGUE)
-    out = f.samples
-    for axis in range(f.dim):
-        _, kernel = _axis_kernel(t, f.dx[axis], f.shape[axis])
-        out = _convolve_axis(out, kernel, axis)
-    return f.with_samples(out)
+    return _heat_pass(f, t, None)
 
 
 def heat_gradient(f: GridFunction, t: float) -> VectorFieldGrid:
     """Gradient of P_t f, by convolving with the kernel gradient."""
     check_semigroup_args(f, t, LEBESGUE)
-    comps = []
-    for comp_axis in range(f.dim):
-        out = f.samples
-        for axis in range(f.dim):
-            u, kernel = _axis_kernel(t, f.dx[axis], f.shape[axis])
-            if axis == comp_axis:
-                kernel = kernel * (-u / t)
-            out = _convolve_axis(out, kernel, axis)
-        comps.append(f.with_samples(out))
-    return VectorFieldGrid(tuple(comps))
+    return VectorFieldGrid(tuple(_heat_pass(f, t, axis)
+                                 for axis in range(f.dim)))
 
 
 def t_points(t_grid):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (Direction, GridFunction, GridGeometry, quad_weights,
-                   shift_axis)
+                   shift_values)
 
 #: below this many cell widths a shift is dominated by grid artifacts
 FIT_CELL_FLOOR = 4.0
@@ -80,15 +80,7 @@ def tv_distance(mu: GridMeasure, nu: GridMeasure) -> float:
 
 def shift_measure(mu: GridMeasure, h) -> GridMeasure:
     """mu shifted by the vector h, one linear redistribution per axis."""
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    if h.size != mu.dim:
-        raise ValueError("shift dimension does not match the measure")
-    weights = mu.weights
-    for axis in range(mu.dim):
-        cells = h[axis] / mu.dx[axis]
-        if cells != 0.0:
-            weights = shift_axis(weights, cells, axis)
-    return mu.with_weights(weights)
+    return mu.with_weights(shift_values(mu.weights, h, mu.dx)[0])
 
 
 def _shift_tv(mu: GridMeasure, direction: Direction, t) -> float:

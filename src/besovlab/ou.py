@@ -280,8 +280,7 @@ def cp_closed_form(p: float) -> float:
     """
     if p == math.inf:
         raise ValueError("C(p) is infinite at p = inf")
-    return (2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0)
-            / math.sqrt(math.pi)) ** (1.0 / p)
+    return abs_moment(p, 1) ** (1.0 / p)
 
 
 def cp_quadrature(p: float) -> float:

@@ -55,6 +55,10 @@ from .ou import semigroup
 DEFAULT_SHIFT_COUNT = 40
 MOLLIFIER_WIDTH_CELLS = 2.0
 BISECTION_STEPS = 25
+#: the refined golden-section point replaces the grid argmax only when its
+#: quotient is larger by more than this relative amount, so that on a plateau
+#: of the quotient round-off does not pick the reported shift
+REFINE_GAIN = 1e-12
 MIN_DIV_NORM = 1e-10
 #: times of the semigroup-integral witnesses
 SEMIGROUP_T = np.geomspace(1e-3, 2.0, 6)
@@ -133,7 +137,7 @@ def _estimate(f, p, alpha, shifts):
             m2, v2 = a + invphi * (b - a), None
     m_star = 0.5 * (a + b)
     v_star = shift_quotient(f, m_star * direction, p, alpha)
-    if v_star > best:
+    if v_star > best * (1.0 + REFINE_GAIN):
         best, best_h = v_star, m_star * direction
     cap_limited = float(np.linalg.norm(best_h)) >= cap * (1 - 1e-9)
     return BesovEstimate(best, tuple(best_h), float(p), float(alpha),

@@ -214,6 +214,24 @@ class TestGaussianSuite:
                                t_grid=default_t_grid(4))
         assert len(calls) == 26
 
+    def test_one_target_sweep_for_every_pair(self, monkeypatch):
+        # hermite(0) has nonzero mean, so its transport target is centered:
+        # one sweep of grad T_t on the centered function and its coarsening
+        # (8 passes) serves both pairs, where one sweep per pair makes 16;
+        # with the 8 main sweep passes, the witnesses' six S_t f and each
+        # pair's six T_t phi: 8 + 8 + 6 + 2 * 6 = 34
+        calls = []
+
+        def counting(*args, _fn=ou._ou_axis_average):
+            calls.append(args[1:])
+            return _fn(*args)
+
+        monkeypatch.setattr(ou, "_ou_axis_average", counting)
+        f = build_corpus("hermite(0)", shape=(129,))
+        certify_gaussian_suite(f, [(1, 1.0), (2, 0.5)],
+                               t_grid=default_t_grid(4))
+        assert len(calls) == 34
+
     @pytest.mark.parametrize("name", ["hermite(0)", "hermite(3)"])
     def test_pairs_in_one_call_match_one_call_each(self, name):
         # the shared orbit repeats the same arithmetic, so every entry is

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -367,6 +368,27 @@ class TestArtifacts:
         manifest = json.loads(
             (tmp_path / "counterexample_manifest.json").read_text())
         assert manifest["spec"]["n_terms"] == 200
+
+    @pytest.mark.parametrize("argv", [
+        ["corpus", "corpus=hat,indicator2d", "shape1d=129", "shape2d=33"],
+        ["semigroup", "corpus=hat,hermite(1)", "shape1d=129", "t_points=4"],
+        ["counterexample", "n_terms=50", "n_list=20,50", "shape2d=65"],
+        ["measure", "n_terms=50", "shape1d=513", "shape2d=65"],
+    ], ids=lambda argv: argv[0])
+    def test_one_csv_format_for_every_command(self, tmp_path, argv):
+        # csv.writer rows (CRLF ends) under a header row; a real reads as
+        # the repr of its float, so it parses back exactly
+        assert main(argv + [f"output_dir={tmp_path}"]) == 0
+        paths = sorted(tmp_path.glob("*.csv"))
+        assert paths
+        for path in paths:
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert path.read_bytes().count(b"\r\n") == len(rows) + 1
+            assert rows and all(len(row) == len(header) for row in rows)
+            for cell in (cell for row in rows for cell in row):
+                assert cell.lstrip("-").isdigit() or \
+                    cell == repr(float(cell)), (path.name, cell)
 
     def test_measure_report(self, tmp_path):
         assert main(["measure", "n_terms=200", "shape1d=2049",

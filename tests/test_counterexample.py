@@ -11,13 +11,12 @@ from besovlab.counterexample import (
     energy_oracle,
     interval_length,
     max_resolved_index,
-    profile_to_csv,
     reconstruct_slice,
     slice_blowup_profile,
     slice_coefficients,
     tail_energy,
 )
-from besovlab.grid import Direction, along
+from besovlab.grid import Direction, along, write_csv
 from besovlab.seminorms import v_quotient
 
 #: the scan's directional form: p = 1 quotient of fields along the x axis
@@ -234,7 +233,7 @@ class TestDirectionalScan:
 class TestExport:
     def test_profile_csv(self, tmp_path):
         path = tmp_path / "profile.csv"
-        profile_to_csv([(2, 1.5), (3, 2.0)], path)
+        write_csv(path, ("k", "value"), [(2, 1.5), (3, 2.0)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,value"
         assert lines[1] == "2,1.5"
@@ -243,8 +242,7 @@ class TestExport:
         spec = CounterexampleSpec(0.5, 100)
         rows = directional_bound_scan(spec, [50, 100], shape=(257, 257))
         path = tmp_path / "scan.csv"
-        profile_to_csv([r[:2] for r in rows], path,
-                       header=("N", "max_quotient"))
+        write_csv(path, ("N", "max_quotient"), [r[:2] for r in rows])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "N,max_quotient"
         assert len(lines) == 3

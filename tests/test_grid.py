@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from besovlab.grid import (
     save,
     shift,
     to_csv,
+    write_csv,
 )
 
 
@@ -268,6 +270,18 @@ class TestSerialization:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x1,value"
         assert len(lines) == 66
+
+    def test_write_csv_reals_read_back_exactly(self, tmp_path):
+        # a numpy real is written as the float it holds, not as its repr
+        path = tmp_path / "rows.csv"
+        reals = [0.1, 1.0 / 3.0, 1e-300]
+        write_csv(path, ("k", "value"),
+                  [(2, np.float64(1.5))] + list(enumerate(reals)))
+        with open(path, newline="") as fh:
+            header, first, *rest = csv.reader(fh)
+        assert header == ["k", "value"]
+        assert first == ["2", "1.5"]
+        assert [float(v) for _, v in rest] == reals
 
     def test_gradient_of_bump_is_odd(self):
         f = build_corpus("bump", shape=(1025,))

@@ -1,6 +1,7 @@
 """Static import hygiene of the package, read with the standard library's
 ast: outside __init__ (which re-exports), every module-level import is used
-and no import hides inside a function, where it would mask an import cycle.
+and no import hides inside a function, where it would mask an import cycle;
+only grid imports csv and json, the formats of every artifact.
 """
 
 import ast
@@ -42,3 +43,19 @@ def test_imports_at_module_level(path):
              if isinstance(node, (ast.Import, ast.ImportFrom))
              and id(node) not in top]
     assert not local, f"{path.name}: imports inside a block at lines {local}"
+
+
+def _imported_modules(tree):
+    """Top-level names of the modules a parsed module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_only_grid_imports_csv_and_json():
+    # the one home of the artifact format: grid.write_csv, grid.json_text
+    importers = {path.name for path in MODULES
+                 if {"csv", "json"} & set(_imported_modules(_tree(path)))}
+    assert importers == {"grid.py"}

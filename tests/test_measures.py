@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from besovlab.counterexample import CounterexampleSpec, build_counterexample
-from besovlab.grid import Direction, GridFunction
+from besovlab.grid import Direction, GridFunction, shift
 from besovlab.measures import (
     GridMeasure,
     HolderFit,
@@ -102,6 +102,19 @@ class TestShiftMeasure:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             shift_measure(gridded_gaussian(), (0.1, 0.1))
+
+    @pytest.mark.parametrize("dim, h_shape", [(1, (1, 1)), (1, (1, 2)),
+                                              (2, (1, 2))],
+                             ids=["1d-1x1", "1d-1x2", "2d-1x2"])
+    def test_h_shape_checked_as_for_functions(self, dim, h_shape):
+        # one check of h's shape, (dim,), serves shift and shift_measure
+        bounds = ((-1.0, 1.0),) * dim
+        h = np.full(h_shape, 0.01)
+        for move, target in (
+                (shift_measure, GridMeasure(bounds, np.ones((33,) * dim))),
+                (shift, GridFunction(bounds, np.ones((33,) * dim)))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                move(target, h)
 
 
 class TestHolderProfile:

@@ -59,6 +59,32 @@ class TestBesovSeminorm:
         besov_seminorm(build_corpus(name, shape=shape), 2, 0.5)
         assert len(calls) == count
 
+    def test_refinement_within_round_off_keeps_the_grid_argmax(
+            self, monkeypatch):
+        # the last refinement quotient beats the grid best by 1e-15
+        # relative, a round-off gap: the grid argmax stays the witness
+        f = build_corpus("hat", shape=(129,))
+        h_grid = [(m,) for m in default_shift_magnitudes(f)]
+        quotient = seminorms.shift_quotient
+        grid_vals = [quotient(f, h, 2, 0.5) for h in h_grid]
+        # the grid, two quotients for the first golden-section step, one
+        # for each later step and one at the final bracket's midpoint
+        last = len(h_grid) + seminorms.BISECTION_STEPS + 2
+        calls = []
+
+        def nudged(*args):
+            calls.append(args)
+            if len(calls) == last:
+                return max(grid_vals) * (1.0 + 1e-15)
+            return quotient(*args)
+
+        monkeypatch.setattr(seminorms, "shift_quotient", nudged)
+        est = besov_seminorm(f, 2, 0.5, h_grid=h_grid)
+        assert len(calls) == last
+        k = int(np.argmax(grid_vals))
+        assert est.witness_h == h_grid[k]
+        assert est.value == grid_vals[k]
+
     def test_zero_function(self):
         f = GridFunction(((-8.0, 8.0),), np.zeros(1025))
         assert besov_seminorm(f, 1, 0.5).value == 0.0

@@ -8,13 +8,16 @@ of any function or method.  Standard library only.
 
 Run from the repository root:
 
-    python3 tools/code_lines.py [package_dir]
+    python3 tools/code_lines.py [package_dir] [--params]
 
-It prints one line per module, then the totals.
+It prints one line per module, then the totals; with --params it prints
+instead one line per optional parameter, as module.function(name=default),
+so that two trees can be compared knob by knob.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -49,26 +52,59 @@ def code_lines(source):
 
 
 def optional_parameters(source):
-    """Number of parameters with a default value in one module's source."""
-    count = 0
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            count += len(node.args.defaults)
-            count += sum(d is not None for d in node.args.kw_defaults)
-    return count
+    """(function, parameter, default) of each parameter with a default value
+    in one module's source, in source order; a method or nested function is
+    named by its qualified name, a lambda as <lambda>."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                args = child.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional)
+                                            - len(args.defaults):],
+                                 args.defaults))
+                pairs += [(arg, default) for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+                found.extend((name, arg.arg, ast.unparse(default))
+                             for arg, default in pairs)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
 
 
 def main(argv):
-    root = Path(argv[1] if len(argv) > 1 else "src/besovlab")
+    parser = argparse.ArgumentParser(
+        description="Code lines and optional parameters per module.")
+    parser.add_argument("package_dir", nargs="?", default="src/besovlab")
+    parser.add_argument("--params", action="store_true",
+                        help="list each optional parameter instead, as "
+                             "module.function(name=default)")
+    args = parser.parse_args(argv[1:])
     total_lines = total_optional = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(Path(args.package_dir).glob("*.py")):
         source = path.read_text()
-        n, k = code_lines(source), optional_parameters(source)
+        optional = optional_parameters(source)
+        if args.params:
+            for function, name, default in optional:
+                print(f"{path.stem}.{function}({name}={default})")
+            continue
+        n, k = code_lines(source), len(optional)
         total_lines += n
         total_optional += k
         print(f"{path.name:20s} {n:5d} lines {k:3d} optional")
-    print(f"{'total':20s} {total_lines:5d} lines {total_optional:3d} optional")
+    if not args.params:
+        print(f"{'total':20s} {total_lines:5d} lines "
+              f"{total_optional:3d} optional")
     return 0
 
 
