@@ -314,28 +314,42 @@ def shift_axis(values, cells, axis):
     return out
 
 
+def _source_run(cells, n):
+    """The nodes i of an n-node axis moved by `cells` whose source i - cells,
+    rounded as node arithmetic rounds it, lies in [0, n - 1], as a slice.
+
+    i - cells >= 0 holds in floating point exactly when i >= cells does;
+    i - cells <= n - 1 may hold after rounding at one node past the exact
+    run, the first node above n - 1 + cells.
+    """
+    lo = min(max(math.ceil(cells), 0), n)
+    hi = n + math.floor(cells)
+    if hi - cells <= n - 1:
+        hi += 1
+    return slice(lo, min(max(hi, lo), n))
+
+
 def shift_values(values, h, dx):
     """Node values moved by the vector h: one shift_axis pass per axis with
     a nonzero cell count h_j / dx_j, the one shift loop of functions and
     measures.
 
-    Returns (moved, inside), where inside marks the nodes whose source point
-    x - h lies in the box.
+    Returns (moved, inside), where inside holds one slice per axis: the nodes
+    whose source point x - h lies in the box are moved[inside].  moved is
+    `values` itself when h is zero.
     """
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if h.shape != (values.ndim,):
         raise ValueError("shift vector dimension mismatch")
-    inside = np.ones(values.shape, dtype=bool)
+    inside = []
     for axis, (hj, dxj, n) in enumerate(zip(h, dx, values.shape)):
         cells = hj / dxj
         if cells == 0.0:
+            inside.append(slice(0, n))
             continue
         values = shift_axis(values, cells, axis)
-        src = np.arange(n) - cells
-        keep = (src >= 0.0) & (src <= n - 1)
-        inside &= keep.reshape([n if a == axis else 1
-                                for a in range(values.ndim)])
-    return values, inside
+        inside.append(_source_run(cells, n))
+    return values, tuple(inside)
 
 
 def shift(f: GridFunction, h) -> GridFunction:
@@ -350,7 +364,13 @@ def shift(f: GridFunction, h) -> GridFunction:
     if float(np.linalg.norm(h)) > shift_cap(f) * (1.0 + 1e-12):
         raise ValueError("shift exceeds the boundary-error cap")
     vals, inside = shift_values(f.samples, h, f.dx)
-    return f.with_samples(np.where(inside, vals, 0.0))
+    if vals is f.samples:  # h = 0: nothing moved, nothing to zero
+        return f.with_samples(vals.copy())
+    for axis, run in enumerate(inside):
+        before = (slice(None),) * axis
+        vals[before + (slice(0, run.start),)] = 0.0
+        vals[before + (slice(run.stop, None),)] = 0.0
+    return f.with_samples(vals)
 
 
 def partial_derivative(f: GridFunction, axis: int) -> GridFunction:

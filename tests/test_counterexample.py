@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from besovlab.counterexample import (
+    X_PERIOD,
     CounterexampleSpec,
     build_counterexample,
     default_phi_family,
@@ -24,13 +25,48 @@ X_AXIS = Direction((1.0, 0.0))
 from besovlab.grid import LEBESGUE, lp_norm
 
 
+def covers(spec, k, y):
+    """Whether y (an array of values in [0, 1)) lies in the wrapped interval
+    J_k, one k at a time."""
+    left = spec.left_endpoint(k)
+    end = left + interval_length(k)
+    if end <= 1.0:
+        return (y >= left) & (y < end)
+    return (y >= left) | (y < end % 1.0)
+
+
+def loop_reference(spec, shape):
+    """The truncated sum accumulated one k at a time from sin(kx)."""
+    x = np.linspace(0.0, X_PERIOD, shape[0])
+    y = np.linspace(0.0, 1.0, shape[1]) % 1.0
+    samples = np.zeros(shape)
+    for k in range(spec.k_start, spec.n_terms + 1):
+        cols = np.nonzero(covers(spec, k, y))[0]
+        samples[:, cols] += spec.amplitude(k) * np.sin(k * x)[:, None]
+    return samples
+
+
 class TestSpec:
     def test_placements_are_partial_sums_mod_one(self):
-        spec = CounterexampleSpec(0.5, 50)
+        # the running sum in k order, equal to a scalar loop bit for bit
+        spec = CounterexampleSpec(0.5, 10000)
         acc = 0.0
-        for k in range(2, 51):
-            assert spec.left_endpoint(k) == pytest.approx(acc % 1.0)
+        for k in range(2, 10001):
+            assert spec.left_endpoint(k) == acc % 1.0
             acc += interval_length(k)
+
+    def test_covering_indices_match_brute_force(self):
+        spec = CounterexampleSpec(0.5, 3000)
+        ks = range(spec.k_start, spec.n_terms + 1)
+        # grid nodes, the ends of J_k (y equal to a placement), and y
+        # outside [0, 1)
+        ys = list(np.linspace(0.0, 1.0, 101)) + [1.0, -0.25, 1.37]
+        ys += [spec.left_endpoint(k) for k in ks[::37]]
+        ys += [(spec.left_endpoint(k) + interval_length(k)) % 1.0
+               for k in ks[::41]]
+        table = np.array([covers(spec, k, np.array(ys) % 1.0) for k in ks])
+        for y, column in zip(ys, table.T):
+            assert spec.covering_indices(y) == np.array(ks)[column].tolist()
 
     def test_interval_length(self):
         assert interval_length(2) == pytest.approx(1.0 / (2.0 * math.log(2.0)))
@@ -69,6 +105,23 @@ class TestBuild:
                           spec.amplitude(2) * np.sin(2.0 * x), 0.0)
         assert np.max(np.abs(f.samples - expect)) <= 1e-12
         assert f.measure == LEBESGUE
+
+    @pytest.mark.parametrize("n_terms, shape", [
+        (1000, (257, 257)),  # N > n_x - 1: the indices fold
+        (300, (128, 65)),  # odd M = n_x - 1
+        (300, (129, 65)),  # even M, with the Nyquist mode
+    ], ids=["257x257", "odd-M", "even-M"])
+    def test_matches_the_per_k_loop(self, n_terms, shape):
+        spec = CounterexampleSpec(0.5, n_terms)
+        assert any(spec.left_endpoint(k) + interval_length(k) > 1.0
+                   for k in range(2, n_terms + 1))  # some J_k wraps
+        f, _ = build_counterexample(spec, shape=shape)
+        expect = loop_reference(spec, shape)
+        assert np.max(np.abs(f.samples - expect)) <= 1e-12
+        assert np.array_equal(np.any(f.samples != 0.0, axis=0),
+                              np.any(expect != 0.0, axis=0))
+        # y = 1 is the point y = 0 of the circle
+        assert np.array_equal(f.samples[:, -1], f.samples[:, 0])
 
     def test_energy_oracle(self):
         spec = CounterexampleSpec(0.5, 10000)
@@ -174,10 +227,17 @@ class TestBlowupProfile:
         # between N = 1000 and N = 10000 (total placed length grows like
         # ln ln N, so most sampled y see no new interval in that window)
         shape = (80001, 201)
+        spec = CounterexampleSpec(0.5, 10000)
         f3, _ = build_counterexample(CounterexampleSpec(0.5, 1000),
                                      shape=shape)
-        f4, _ = build_counterexample(CounterexampleSpec(0.5, 10000),
-                                     shape=shape)
+        f4, _ = build_counterexample(spec, shape=shape)
+        # a column no k in (1000, 10000] covers is the same sum of the same
+        # terms in both builds, bit for bit
+        same = [j for j, yy in enumerate(f4.axes()[1])
+                if max(spec.covering_indices(yy), default=0) <= 1000]
+        assert same
+        assert (f3.samples[:, same].tobytes()
+                == f4.samples[:, same].tobytes())
         ys = (np.arange(100) + 0.5) / 100.0
         increases = sum(
             slice_blowup_profile(f4, yy, 0.5)[0]

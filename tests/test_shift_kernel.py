@@ -1,12 +1,14 @@
 """Properties of the two-tap shift kernel shared by grid.shift and
 measures.shift_measure, on data that does not vanish at the box edge."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from besovlab.grid import GridFunction, inner, shift, shift_cap
+from besovlab.grid import GridFunction, inner, shift, shift_axis, shift_cap
 from besovlab.measures import GridMeasure, shift_measure
 
 BOUNDS = ((-1.0, 2.0), (0.5, 3.0))
@@ -91,3 +93,47 @@ def test_shift_adjoint(seed, n0, n1, t0, t1):
     rhs = inner(f, shift(g, -h))
     scale = np.sum(np.abs(f.samples)) * np.max(np.abs(g.samples))
     assert abs(lhs - rhs) <= 1e-12 * scale * f.cell_volume()
+
+
+def mask_reference(values, h, dx):
+    """The moved values and a boolean per node: whether its source x - h
+    lies in the box, each axis's test i - cells in [0, n - 1] done on the
+    float array of source positions."""
+    inside = np.ones(values.shape, dtype=bool)
+    for axis, (hj, dxj, n) in enumerate(zip(h, dx, values.shape)):
+        cells = hj / dxj
+        if cells == 0.0:
+            continue
+        values = shift_axis(values, cells, axis)
+        src = np.arange(n) - cells
+        keep = (src >= 0.0) & (src <= n - 1)
+        inside &= keep.reshape([n if a == axis else 1
+                                for a in range(values.ndim)])
+    return values, inside
+
+
+#: cell counts: integer, fractional, one ulp past an integer (below -3,
+#: i - cells rounds onto n - 1 at one node past the exact run), and past
+#: the far end of a 65-node axis
+RUN_CELLS = (0.0, 2.0, -1.0, 0.5, -1.25, np.nextafter(3.0, 4.0),
+             np.nextafter(-3.0, -4.0), 40.5, 70.5, -66.0)
+
+
+@pytest.mark.parametrize("shape", [(65,), (65, 49)], ids=["1d", "2d"])
+def test_shift_runs_match_the_mask(shape):
+    # dx = 1/16 on both axes, so h / dx gives back each cell count exactly
+    bounds = ((0.0, 4.0), (0.0, 3.0))[:len(shape)]
+    values = edge_heavy(3, shape)
+    f = GridFunction(bounds, values)
+    mu = GridMeasure(bounds, values)
+    checked = 0
+    for cells in itertools.product(RUN_CELLS, repeat=len(shape)):
+        h = np.asarray(cells) / 16.0
+        moved, inside = mask_reference(values, h, f.dx)
+        assert shift_measure(mu, h).weights.tobytes() == moved.tobytes()
+        if np.linalg.norm(h) <= shift_cap(f):
+            got = shift(f, h).samples
+            assert got.tobytes() == np.where(inside, moved, 0.0).tobytes()
+            assert not np.shares_memory(got, f.samples)
+            checked += 1
+    assert checked >= 5 ** len(shape)
