@@ -268,13 +268,17 @@ def directional_bound_scan(spec: CounterexampleSpec, n_list, shape=None):
     (N, max_quotient, best_phi_name) rows.
     """
     x_axis = Direction((1.0, 0.0))
-    rows = []
+    rows, fields = [], None
     for n in n_list:
         sub = CounterexampleSpec(spec.alpha, int(n), spec.k_start)
         f, _ = build_counterexample(sub, shape=shape)
+        if fields is None:
+            # the family depends only on the grid, the same for every N
+            fields = [(name, along(phi, x_axis))
+                      for name, phi in default_phi_family(f)]
         best, best_name = 0.0, ""
-        for name, phi in default_phi_family(f):
-            val = v_quotient(f, along(phi, x_axis), 1, spec.alpha).quotient
+        for name, field in fields:
+            val = v_quotient(f, field, 1, spec.alpha).quotient
             if val > best:
                 best, best_name = val, name
         rows.append((int(n), best, best_name))

@@ -5,17 +5,23 @@ Quadrature route: Gauss-Hermite averaging of grid samples (quintic-spline
 interpolation off the grid, zero outside the box).  The nodes are computed
 once per process and pruned to the K = 68 of 128 heavier than GH_PRUNE_WEIGHT
 times the largest weight.  One contraction kernel, _gauss_average, serves
-every Gaussian average: it builds the spline along one axis, evaluates it
-once at the points of the kept nodes, zeroes the points outside the box and
+every Gaussian average: it evaluates a spline built along one axis once at
+the points of the kept nodes, zeroes the points outside the box and
 contracts them with a weight matrix.  T_t and the gradient kernel take the
 points e^{-t} x + sqrt(1-e^{-2t}) y and the stacked weights w and w*y, so
-each (t, axis) pass gives the plain and the y-weighted average together; the
-node x grid-point block takes K*n*m*8 bytes on an n x m grid, about 36 MB at
-257^2.  ou_step computes T_t f and grad T_t f together, from one pass in 1D
-and three in 2D; ou_apply and ou_gradient are its two halves, and a caller
-that needs both fields at one t calls ou_step once.  The conditional
-expectation takes the points y and the weights w; the Hermite transform
-contracts each axis in turn with the rows H_n(y) w, in any dimension.
+each (t, axis) pass gives the plain and the y-weighted average together.
+ou_step computes T_t f and grad T_t f together; ou_apply and ou_gradient
+are its two halves, and a caller that needs both fields at one t calls
+ou_step once.  In 1D the step is one pass, and the spline of its one column
+is evaluated in piecewise-polynomial form.  In 2D the step makes three
+passes, one along axis 0 and two along axis 1, each one matrix product with
+that axis' pass as an (n, n) operator; the operator is the pass applied to
+the identity, built once per distinct axis (one on a square grid) and
+dropped with the step.  The spline evaluation holds the node x grid-point
+block, K*n*m*8 bytes for m columns: about 36 MB for the identity at n = 257,
+the same as one pass over a 257^2 grid.  The conditional expectation takes
+the points y and the weights w; the Hermite transform contracts each axis in
+turn with the rows H_n(y) w, in any dimension.
 
 semigroup(f) returns (S_t, grad S_t) of f's measure tag, OU or heat; it is
 the only place that makes this choice.
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import PPoly, make_interp_spline
 
 from . import heat
 from .grid import (
@@ -88,21 +94,26 @@ def hermite_matrix(degree, y):
     return out / norms[:, None]
 
 
-def _gauss_average(samples, x, axis, pts, weights):
-    """Contract `weights` with the spline of `samples` along `axis` at `pts`.
+def _spline(samples, x, axis):
+    """Quintic interpolating spline of samples along axis (nodes x), that
+    axis first: the one spline build of the module."""
+    return make_interp_spline(x, np.moveaxis(samples, axis, 0),
+                              k=SPLINE_DEGREE)
 
-    The spline (nodes x) is evaluated once at pts, whose first axis is the
-    Gauss-Hermite node axis; nodes whose points all leave the box are
-    skipped and the points outside it contribute zero (their Gaussian weight
-    is below 1e-14 for the default box).  Returns weights[:, rows] @ vals:
-    one leading axis per weight row, then pts' trailing axes, then the other
-    axes of samples in order.
+
+def _gauss_average(spline, x, pts, weights):
+    """Contract `weights` with `spline` (over the nodes x) at `pts`.
+
+    The spline, a B-spline or its piecewise-polynomial form, is evaluated
+    once at pts, whose first axis is the Gauss-Hermite node axis; nodes
+    whose points all leave the box are skipped and the points outside it
+    contribute zero (their Gaussian weight is below 1e-14 for the default
+    box).  Returns weights[:, rows] @ vals: one leading axis per weight row,
+    then pts' trailing axes, then the spline's columns.
     """
     a, b = x[0], x[-1]
     inside = (pts >= a) & (pts <= b)
     rows = inside.reshape(len(pts), -1).any(axis=1)
-    spline = make_interp_spline(x, np.moveaxis(samples, axis, 0),
-                                k=SPLINE_DEGREE)
     vals = spline(np.clip(pts[rows], a, b))
     vals[~inside[rows]] = 0.0
     out = weights[:, rows] @ vals.reshape(len(vals), math.prod(vals.shape[1:]))
@@ -114,14 +125,32 @@ def _ou_axis_average(f: GridFunction, axis, t):
     plain and weighted by y (the gradient kernel), from one evaluation.
 
     Returns the plain and the y-weighted average stacked on a leading axis
-    of length 2, each of f's shape.
+    of length 2, each of f's shape.  A 1D f is one spline column, which is
+    evaluated in piecewise-polynomial form: at the 68 n points of a pass
+    that is about three times faster than the B-spline, and differs from it
+    by round-off.  On many columns the piecewise form is slower, and scipy
+    does not convert them, so they keep the B-spline.
     """
     y, w = gauss_hermite()
     x = f.axes()[axis]
     spread = math.sqrt(1.0 - math.exp(-2.0 * t))
     pts = math.exp(-t) * x[None, :] + spread * y[:, None]
-    avg = _gauss_average(f.samples, x, axis, pts, np.stack([w, w * y]))
+    spline = _spline(f.samples, x, axis)
+    if f.dim == 1:
+        spline = PPoly.from_spline(spline)
+    avg = _gauss_average(spline, x, pts, np.stack([w, w * y]))
     return np.moveaxis(avg, 1, axis + 1)
+
+
+def _ou_axis_operator(f: GridFunction, axis, t):
+    """The pass of _ou_axis_average along `axis` as a linear operator.
+
+    Returns the plain and the y-weighted (n, n) matrices stacked on a
+    leading axis, n = f.shape[axis]: the pass applied to the identity on
+    an n x n grid over the axis' interval.
+    """
+    eye = GridFunction((f.bounds[axis],) * 2, np.eye(f.shape[axis]), GAUSSIAN)
+    return _ou_axis_average(eye, 0, t)
 
 
 def ou_step(f: GridFunction, t: float):
@@ -131,16 +160,24 @@ def ou_step(f: GridFunction, t: float):
     Gradient component i weights the average along axis i by y and every
     other axis plainly; the plain average along every axis is T_t f.  Each
     pass along an axis gives both weightings, so the step makes one pass in
-    1D and three in 2D.
+    1D and three in 2D.  A 2D step builds the operator of each distinct
+    axis (interval, n) once, one for a square grid, and each pass is then
+    one matrix product; the operators live for this step only.
     """
     heat.check_semigroup_args(f, t, GAUSSIAN)
     factor = math.exp(-t) / math.sqrt(1.0 - math.exp(-2.0 * t))
-    value, comps = f.samples, []
-    for axis in range(f.dim):
-        comps = [_ou_axis_average(f.with_samples(c), axis, t)[0]
-                 for c in comps]
-        value, weighted = _ou_axis_average(f.with_samples(value), axis, t)
-        comps.append(weighted)
+    if f.dim == 1:
+        value, weighted = _ou_axis_average(f, 0, t)
+        comps = [weighted]
+    else:
+        op0 = _ou_axis_operator(f, 0, t)
+        op1 = (op0 if (f.bounds[1], f.shape[1]) == (f.bounds[0], f.shape[0])
+               else _ou_axis_operator(f, 1, t))
+        # axis 0 on f, then axis 1: both weightings on the plain average
+        # (T_t f and component 1), the plain one on the weighted (component 0)
+        plain, weighted = op0 @ f.samples
+        value, last = plain @ op1.transpose(0, 2, 1)
+        comps = [weighted @ op1[0].T, last]
     return f.with_samples(value), VectorFieldGrid(
         tuple(f.with_samples(factor * c) for c in comps))
 
@@ -182,7 +219,8 @@ def conditional_expectation(f: GridFunction, kept_axis: int) -> GridFunction:
     require_tag(f, GAUSSIAN, "conditional expectation")
     dropped = 1 - kept_axis
     y, w = gauss_hermite()
-    vals = _gauss_average(f.samples, f.axes()[dropped], dropped, y, w[None])
+    x = f.axes()[dropped]
+    vals = _gauss_average(_spline(f.samples, x, dropped), x, y, w[None])
     return GridFunction((f.bounds[kept_axis],), vals[0], GAUSSIAN)
 
 
@@ -227,8 +265,8 @@ def hermite_transform(f: GridFunction, degree=None) -> HermiteCoeffs:
     weights = hermite_matrix(degree, y) * w
     coeffs = f.samples
     for axis, x in enumerate(f.axes()):
-        coeffs = np.moveaxis(_gauss_average(coeffs, x, axis, y, weights),
-                             0, axis)
+        coeffs = np.moveaxis(
+            _gauss_average(_spline(coeffs, x, axis), x, y, weights), 0, axis)
     tail = max(lp_norm(f, 2) ** 2 - float(np.sum(coeffs ** 2)), 0.0)
     return HermiteCoeffs(coeffs, tail_energy=tail)
 

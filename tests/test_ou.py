@@ -156,11 +156,12 @@ def per_node_average(f, axis, t):
 
 
 @pytest.mark.parametrize("shape, axis", [((257,), 0), ((33, 41), 0),
-                                         ((33, 41), 1)])
+                                         ((33, 41), 1), ((4097,), 0)])
 @pytest.mark.parametrize("t", [1e-3, 0.3, 4.0])
 def test_axis_average_matches_per_node_loop(shape, axis, t):
-    # summation order differs, so agreement is to round-off of a
-    # 128-term sum, relative to max |f|
+    # summation order differs, and a 1D pass evaluates the spline in
+    # piecewise-polynomial form, so agreement is to round-off of a
+    # 128-term sum, relative to max |f|; 4097 is the full-default 1D grid
     rng = np.random.default_rng(7)
     bounds = ((-8.0, 8.0), (-6.0, 7.0))[:len(shape)]
     f = GridFunction(bounds, rng.standard_normal(shape), GAUSSIAN)
@@ -168,6 +169,50 @@ def test_axis_average_matches_per_node_loop(shape, axis, t):
     for g, ref in zip(got, per_node_average(f, axis, t)):
         assert g.shape == f.shape
         assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(f.samples))
+
+
+@pytest.mark.parametrize("bounds, shape", [
+    (((-8.0, 8.0), (-8.0, 8.0)), (33, 33)),
+    (((-8.0, 8.0), (-6.0, 7.0)), (33, 41))])
+@pytest.mark.parametrize("t", [1e-3, 0.3, 4.0])
+def test_ou_step_matches_per_node_loop(bounds, shape, t):
+    # the 2D step applies each axis as a matrix (one shared by both axes of
+    # the square grid); the reference runs the per-node loop axis by axis:
+    # T_t f is plain along both axes, gradient component i is y-weighted
+    # along axis i and plain along the other
+    rng = np.random.default_rng(7)
+    f = GridFunction(bounds, rng.standard_normal(shape), GAUSSIAN)
+    factor = math.exp(-t) / math.sqrt(1.0 - math.exp(-2.0 * t))
+    plain, weighted = per_node_average(f, 0, t)
+    value, last = per_node_average(f.with_samples(plain), 1, t)
+    first = per_node_average(f.with_samples(weighted), 1, t)[0]
+    got_value, grad = ou_step(f, t)
+    tol = 1e-13 * np.max(np.abs(f.samples))
+    for got, ref, scale in [(got_value, value, 1.0),
+                            (grad.components[0], factor * first, factor),
+                            (grad.components[1], factor * last, factor)]:
+        assert got.shape == f.shape
+        assert np.max(np.abs(got.samples - ref)) <= scale * tol
+
+
+@pytest.mark.parametrize("shape, bounds, builds", [
+    ((1025,), ((-8.0, 8.0),), 1),
+    ((33, 33), ((-8.0, 8.0), (-8.0, 8.0)), 1),
+    ((33, 33), ((-8.0, 8.0), (-6.0, 7.0)), 2),
+    ((33, 41), ((-8.0, 8.0), (-8.0, 8.0)), 2)])
+def test_one_spline_build_per_distinct_axis(monkeypatch, shape, bounds,
+                                            builds):
+    # a 1D step is one pass; a 2D step builds one operator per distinct
+    # (interval, n) axis and applies it in all three of its passes
+    calls = []
+
+    def counting(*args, _fn=ou._spline):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(ou, "_spline", counting)
+    ou_step(GridFunction(bounds, np.ones(shape), GAUSSIAN), 0.3)
+    assert len(calls) == builds
 
 
 def full_nodes():
