@@ -76,6 +76,8 @@ class CertificateEntry:
     inputs: dict
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lhs, self.rhs, self.slack))):
+            raise ValueError("certificate sides and slack must be finite")
         if self.lhs < 0 or self.rhs < 0:
             raise ValueError("certificate sides must be nonnegative")
         if self.passed != (self.margin >= 0):

@@ -149,8 +149,13 @@ def quad_weights(f: GridFunction) -> np.ndarray:
     return f.cell_volume() * density(f)
 
 
+def _weights(f: GridFunction):
+    """quad_weights, or for a Lebesgue tag the same weight as a scalar."""
+    return quad_weights(f) if f.measure == GAUSSIAN else f.cell_volume()
+
+
 def integrate(f: GridFunction) -> float:
-    return float(np.sum(quad_weights(f) * f.samples))
+    return float(np.sum(_weights(f) * f.samples))
 
 
 #: a mean below this counts as zero: the Gaussian suite centers its
@@ -172,7 +177,7 @@ def inner(f: GridFunction, g: GridFunction) -> float:
     """Integral of f*g under f's tagged measure (shared grid)."""
     if not f.same_grid(g):
         raise ValueError("inner product requires a shared grid")
-    return float(np.sum(quad_weights(f) * f.samples * g.samples))
+    return float(np.sum(_weights(f) * f.samples * g.samples))
 
 
 def _check_p(p):
@@ -187,8 +192,7 @@ def lp_norm(f: GridFunction, p) -> float:
     if p == np.inf:
         return float(np.max(np.abs(f.samples)))
     p = float(p)
-    w = quad_weights(f)
-    return float(np.sum(w * np.abs(f.samples) ** p) ** (1.0 / p))
+    return float(np.sum(_weights(f) * np.abs(f.samples) ** p) ** (1.0 / p))
 
 
 def check_exponents(p, alpha):

@@ -23,8 +23,8 @@ the same as one pass over a 257^2 grid.  The conditional expectation takes
 the points y and the weights w; the Hermite transform contracts each axis in
 turn with the rows H_n(y) w, in any dimension.
 
-semigroup(f) returns (S_t, grad S_t) of f's measure tag, OU or heat; it is
-the only place that makes this choice.
+semigroup(f) returns (S_t, grad S_t, a weighted sum of grad S_t over times)
+of f's measure tag, OU or heat; it is the only place that makes this choice.
 
 Spectral route: the eigenrelation "degree-n coefficient decays like
 exp(-n t)", derived from the Mehler kernel; it is gated on the
@@ -192,17 +192,26 @@ def ou_gradient(f: GridFunction, t: float) -> VectorFieldGrid:
     return ou_step(f, t)[1]
 
 
+def ou_gradient_sum(f: GridFunction, times, weights) -> VectorFieldGrid:
+    """sum_k weights[k] grad T_{times[k]} f, one ou_gradient per time."""
+    grads = (ou_gradient(f, t).components for t in times)
+    total = sum(w * np.stack([c.samples for c in g])
+                for g, w in zip(grads, weights, strict=True))
+    return VectorFieldGrid(tuple(f.with_samples(c) for c in total))
+
+
 def semigroup(f: GridFunction):
-    """(S_t, grad S_t) of f's measure tag: the OU semigroup T_t for a
-    Gaussian tag, the heat semigroup P_t for a Lebesgue one.
+    """(S_t, grad S_t, weighted sum of grad S_t over times) of f's measure
+    tag: the OU semigroup T_t for a Gaussian tag, the heat semigroup P_t for
+    a Lebesgue one.  The sum takes (f, times, weights).
 
     The one place that picks the semigroup of a tag.  The functions are read
     from the module globals at each call, so a wrapper installed on
     ou.ou_apply or heat.heat_apply (a tracer, a test) sees these calls too.
     """
     if f.measure == GAUSSIAN:
-        return ou_apply, ou_gradient
-    return heat.heat_apply, heat.heat_gradient
+        return ou_apply, ou_gradient, ou_gradient_sum
+    return heat.heat_apply, heat.heat_gradient, heat.heat_gradient_sum
 
 
 def u_gamma_functional(f: GridFunction, p, alpha, t_grid=None):

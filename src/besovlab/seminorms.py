@@ -319,10 +319,22 @@ def semigroup_witness(f: GridFunction, t: float, p, alpha) -> QuotientWitness:
     1 for OU), so <div v, f> = c <phi, S_t f - f>.  In 1D v is that exact
     solution, rho^-1 int (S_t phi - phi) rho with rho the density of f's
     tag (grid.density), taken from the nearer end of the box after removing
-    the rho-mean; in 2D the integral runs over u = sqrt(s) on
-    SEMIGROUP_NODES Gauss-Legendre nodes.
+    the rho-mean.  In 2D the integral runs over u = sqrt(s) on
+    SEMIGROUP_NODES Gauss-Legendre nodes (_semigroup_nodes), and the
+    weighted sum of grad S_s phi over them is the semigroup's gradient sum
+    (ou.semigroup): for heat one Fourier multiplier on phi, for OU one
+    ou_gradient per node.
     """
     return _semigroup_witness(f, t, _semigroup_difference(f, t), p, alpha)
+
+
+def _semigroup_nodes(t):
+    """Times s and weights of int_0^t g(s) ds on SEMIGROUP_NODES
+    Gauss-Legendre nodes in u = sqrt(s): s = u^2, weight 2u (du/dx) w."""
+    nodes, weights = np.polynomial.legendre.leggauss(SEMIGROUP_NODES)
+    half = 0.5 * math.sqrt(t)
+    u = half * (nodes + 1.0)
+    return u * u, 2.0 * u * half * weights
 
 
 def _semigroup_difference(f: GridFunction, t) -> GridFunction:
@@ -332,7 +344,7 @@ def _semigroup_difference(f: GridFunction, t) -> GridFunction:
 
 def _semigroup_witness(f, t, diff, p, alpha) -> QuotientWitness:
     """semigroup_witness from the difference diff = S_t f - f."""
-    apply_fn, grad = semigroup(f)
+    apply_fn, _, gradient_sum = semigroup(f)
     phi = _dual_optimal(diff, p)
     if f.dim == 1:
         rho = density(f)
@@ -343,14 +355,7 @@ def _semigroup_witness(f, t, diff, p, alpha) -> QuotientWitness:
         v = np.where(f.axes()[0] <= 0.0, left, right) / rho
         field = VectorFieldGrid((f.with_samples(v),))
     else:
-        nodes, weights = np.polynomial.legendre.leggauss(SEMIGROUP_NODES)
-        half = 0.5 * math.sqrt(t)
-        comps = np.zeros((f.dim,) + f.shape)
-        for x, w in zip(nodes, weights):
-            u = half * (x + 1.0)
-            comps += 2.0 * u * half * w * np.stack(
-                [c.samples for c in grad(phi, u * u).components])
-        field = VectorFieldGrid(tuple(f.with_samples(c) for c in comps))
+        field = gradient_sum(phi, *_semigroup_nodes(t))
     return v_quotient(f, field, p, alpha,
                       construction=f"semigroup-integral t={t:.6g}")
 

@@ -62,6 +62,14 @@ class TestEntryMechanics:
         with pytest.raises(ValueError):
             CertificateEntry("a", "s", -1.0, 0.0, 0.0, 1.0, True, False, {})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", ["lhs", "rhs", "slack"])
+    def test_non_finite_rejected(self, side, bad):
+        # a NaN lhs compares false against 0 and would pass as an entry
+        values = {"lhs": 1.0, "rhs": 1.0, "slack": 0.01, side: bad}
+        with pytest.raises(ValueError, match="finite"):
+            make_entry("a", "stmt", inputs={}, **values)
+
     def test_inconsistent_flag_rejected(self):
         with pytest.raises(ValueError):
             CertificateEntry("a", "s", 2.0, 1.0, 0.0, -1.0, True, False, {})

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.signal import fftconvolve
 from scipy.special import erf
 
 from besovlab.corpus import build_corpus
 from besovlab.grid import GridFunction, MeasureMismatchError, integrate, lp_norm
-from besovlab.heat import SemigroupCurve, heat_apply, heat_gradient, u_functional
+from besovlab.heat import (SemigroupCurve, _axis_kernel, _convolve_axis,
+                           heat_apply, heat_gradient, heat_gradient_sum,
+                           u_functional)
+from besovlab.seminorms import _semigroup_nodes
 
 
 def bump(n=4097):
@@ -37,6 +41,24 @@ class TestHeatApply:
         expect = heat_bump_oracle(x[interior], t)
         rel = np.abs(g.samples[interior] - expect) / expect
         assert np.max(rel) <= 1e-6
+
+    @pytest.mark.parametrize("t", [25.0, 50.0, 100.0])
+    def test_indicator_closed_form_past_the_box(self, t):
+        # 8 sqrt(t) exceeds the box width: the kernel is cut at n - 1 cells
+        # but keeps the mass of the uncut kernel, so P_t 1_[0,1] and its
+        # derivative k_t(x) - k_t(x - 1) match the closed forms
+        f = build_corpus("indicator")
+        x = f.axes()[0]
+        interior = np.abs(x) <= 4.0
+        s = np.sqrt(2.0 * t)
+        expect = 0.5 * (erf(x / s) - erf((x - 1.0) / s))
+        rel = np.abs(heat_apply(f, t).samples / expect - 1.0)
+        assert np.max(rel[interior]) <= 1e-6
+        kernel = np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
+        slope = kernel - np.exp(-(x - 1.0) ** 2 / (2.0 * t)) \
+            / np.sqrt(2.0 * np.pi * t)
+        gap = np.abs(heat_gradient(f, t).components[0].samples - slope)
+        assert np.max(gap[interior]) <= 1e-6 * np.max(np.abs(slope))
 
     def test_mass_conservation(self):
         f = build_corpus("indicator")
@@ -94,6 +116,58 @@ class TestHeatGradient:
         a = heat_gradient(f, t).components[0]
         b = directional_derivative(heat_apply(f, t), Direction((1.0,)))
         assert np.max(np.abs(a.samples - b.samples)) <= 10 * f.dx[0] ** 2
+
+
+@pytest.mark.parametrize("shape,axis", [((1025,), 0), ((65, 33), 0),
+                                        ((65, 33), 1)])
+@pytest.mark.parametrize("t", [1e-3, 0.1, 2.0])
+def test_convolve_axis_matches_fftconvolve(shape, axis, t):
+    data = np.random.default_rng(3).normal(size=shape)
+    for derivative in (False, True):
+        kernel = _axis_kernel(t, 16.0 / (shape[axis] - 1), shape[axis],
+                              derivative)
+        along = [1] * len(shape)
+        along[axis] = kernel.size
+        expect = fftconvolve(data, kernel.reshape(along), mode="same",
+                             axes=axis)
+        assert np.array_equal(_convolve_axis(data, kernel, axis), expect)
+
+
+def _stacked(field):
+    return np.stack([c.samples for c in field.components])
+
+
+class TestHeatGradientSum:
+    # t = 60 makes 8 sqrt(t) wider than the box, which caps the kernel at
+    # n - 1 cells; 1e-3 leaves it a few cells wide
+    TIMES = (1e-3, 0.05, 0.7, 2.0, 60.0)
+    WEIGHTS = (0.3, -1.2, 0.8, 2.5, 0.1)
+
+    @pytest.mark.parametrize("shape", [(97, 97), (33, 41), (17, 9), (129,)])
+    @pytest.mark.parametrize("nodes", ["mixed", "semigroup-integral"])
+    def test_matches_node_loop(self, shape, nodes):
+        data = np.random.default_rng(5).normal(size=shape)
+        f = build_corpus("hat2d" if len(shape) == 2 else "hat",
+                         shape=shape).with_samples(data)
+        times, weights = ((self.TIMES, self.WEIGHTS) if nodes == "mixed"
+                          else _semigroup_nodes(2.0))
+        expect = sum(w * _stacked(heat_gradient(f, t))
+                     for t, w in zip(times, weights))
+        got = _stacked(heat_gradient_sum(f, times, weights))
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_capped_radius_is_exercised(self):
+        dx = 16.0 / 32
+        assert _axis_kernel(60.0, dx, 33, False).size == 2 * 33 - 1
+        assert _axis_kernel(1e-3, dx, 33, False).size < 33
+
+    def test_rejects_bad_args(self):
+        f = build_corpus("hat2d", shape=(17, 17))
+        with pytest.raises(ValueError, match="t must be positive"):
+            heat_gradient_sum(f, (0.1, 0.0), (1.0, 1.0))
+        with pytest.raises(MeasureMismatchError):
+            heat_gradient_sum(build_corpus("x2d", shape=(17, 17)), (0.1,),
+                              (1.0,))
 
 
 class TestUFunctional:

@@ -1,10 +1,14 @@
 """Static import hygiene of the package, read with the standard library's
 ast: outside __init__ (which re-exports), every module-level import is used
 and no import hides inside a function, where it would mask an import cycle;
-only grid imports csv and json, the formats of every artifact.
+only grid imports csv and json, the formats of every artifact.  A process
+that imports the command line loads neither scipy.signal nor scipy.stats.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,14 @@ def test_only_grid_imports_csv_and_json():
     importers = {path.name for path in MODULES
                  if {"csv", "json"} & set(_imported_modules(_tree(path)))}
     assert importers == {"grid.py"}
+
+
+def test_cli_import_loads_no_scipy_signal_or_stats():
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    code = ("import sys, besovlab.cli; print(sorted("
+            "{'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                          capture_output=True, env=dict(os.environ,
+                                                        PYTHONPATH=path))
+    assert proc.stdout.strip() == "[]"

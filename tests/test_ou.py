@@ -570,17 +570,18 @@ class TestConstants:
 class TestSemigroupDispatch:
     def test_semigroup_of_each_tag(self):
         assert semigroup(build_corpus("hermite(1)", shape=(65,))) == \
-            (ou.ou_apply, ou.ou_gradient)
+            (ou.ou_apply, ou.ou_gradient, ou.ou_gradient_sum)
         assert semigroup(build_corpus("hat", shape=(65,))) == \
-            (heat.heat_apply, heat.heat_gradient)
+            (heat.heat_apply, heat.heat_gradient, heat.heat_gradient_sum)
 
     def test_calls_reach_wrapped_module_attributes(self, monkeypatch):
-        # a tracer wraps ou.ou_apply, heat.heat_apply and heat.heat_gradient
-        # where the modules bind them; the dispatch must read them there at
-        # call time, not hold the function objects it saw at import
+        # a tracer wraps ou.ou_apply and the heat functions where the
+        # modules bind them; the dispatch must read them there at call time,
+        # not hold the function objects it saw at import
         calls = {}
         for module, name in ((ou, "ou_apply"), (heat, "heat_apply"),
-                             (heat, "heat_gradient")):
+                             (heat, "heat_gradient"),
+                             (heat, "heat_gradient_sum")):
             def counting(*args, _fn=getattr(module, name), _name=name,
                          **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -599,7 +600,7 @@ class TestSemigroupDispatch:
         assert called(lambda: semigroup_witness(hat, 0.1, 2, 0.5)) == \
             {"heat_apply"}
         assert called(lambda: semigroup_witness(bump2d, 0.1, 2, 0.5)) == \
-            {"heat_apply", "heat_gradient"}
+            {"heat_apply", "heat_gradient_sum"}
         assert called(lambda: semigroup_witness(h2, 0.1, 2, 0.5)) == \
             {"ou_apply"}
         assert called(lambda: certify_lebesgue_suite(
