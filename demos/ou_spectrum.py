@@ -14,9 +14,9 @@ import numpy as np
 from besovlab import build_corpus, hermite_transform, ou_apply
 from besovlab.grid import GridFunction, lp_norm
 from besovlab.ou import (
-    GaussianConstants,
     abs_moment,
     cp_closed_form,
+    ct_closed_form,
     hermite_synthesize,
     ou_apply_spectral,
 )
@@ -45,7 +45,7 @@ def main():
           f"C(p)={cp_closed_form(2.0)}, c_alpha_n={abs_moment(0.5, 1):.6f}")
     print("c_t = arccos(e^(-t)) against the sqrt(2t) envelope:")
     for t in (0.01, 0.1, 1.0, 10.0):
-        print(f"  t={t}: c_t={GaussianConstants.ct(t):.6f} "
+        print(f"  t={t}: c_t={ct_closed_form(t):.6f} "
               f"<= {math.sqrt(2 * t):.6f}")
 
 

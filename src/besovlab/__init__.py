@@ -20,7 +20,7 @@ from .grid import (  # noqa: F401
 from .corpus import build_corpus  # noqa: F401
 from .heat import heat_apply, u_functional  # noqa: F401
 from .ou import (  # noqa: F401
-    GaussianConstants,
+    ct_closed_form,
     hermite_transform,
     ou_apply,
     u_gamma_functional,

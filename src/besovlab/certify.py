@@ -34,11 +34,11 @@ from .grid import (
 )
 from .heat import default_t_grid, gradient_supremum, t_points, u_functional
 from .ou import (
-    GaussianConstants,
     HermiteCoeffs,
     abs_moment,
     conditional_expectation,
     cp_closed_form,
+    ct_closed_form,
     heat_upper_constant,
     hermite_synthesize,
     ou_apply,
@@ -320,7 +320,7 @@ def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
         u_val, _, _, eps_u, inf_u = u_p = graded_u(p, alpha, grads)
         v_up, chain_p = _chain_bound(p, alpha, u_p)
 
-        ct_weights = np.asarray(GaussianConstants.ct(t_grid)) ** alpha
+        ct_weights = ct_closed_form(t_grid) ** alpha
         ratio, t_star, eps_r, inf_r = _graded(
             lambda d: _max_ratio(d, ct_weights, t_grid), *diffs[p])
         entries.append(make_entry(

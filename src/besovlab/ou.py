@@ -311,13 +311,9 @@ def sobolev_h_norm(c: HermiteCoeffs, alpha: float) -> float:
 # Constants
 
 
-class GaussianConstants:
-    """The OU approximation time constant c_t."""
-
-    @staticmethod
-    def ct(t):
-        """Closed form of the OU approximation time constant."""
-        return np.arccos(np.exp(-np.asarray(t, dtype=float)))
+def ct_closed_form(t):
+    """The OU approximation time constant c_t = arccos(e^-t), elementwise."""
+    return np.arccos(np.exp(-np.asarray(t, dtype=float)))
 
 
 def cp_closed_form(p: float) -> float:

@@ -40,10 +40,10 @@ from besovlab.measures import (
     tv_distance,
 )
 from besovlab.ou import (
-    GaussianConstants,
     abs_moment,
     cp_closed_form,
     cp_quadrature,
+    ct_closed_form,
     ct_quadrature,
     heat_upper_constant,
     hermite_matrix,
@@ -132,11 +132,11 @@ def test_criterion_06_gaussian_constants():
     for p in (1.0, 2.0):
         assert abs(cp_closed_form(p) - cp_quadrature(p)) <= 1e-10
     for t in (0.05, 0.3, 1.0, 4.0):
-        assert abs(GaussianConstants.ct(t) - ct_quadrature(t)) <= 1e-10
+        assert abs(ct_closed_form(t) - ct_quadrature(t)) <= 1e-10
     t_grid = np.linspace(1e-6, 50.0, 1000)
-    assert np.all([GaussianConstants.ct(t) <= math.sqrt(2.0 * t)
+    assert np.all([ct_closed_form(t) <= math.sqrt(2.0 * t)
                    for t in t_grid])
-    assert abs(GaussianConstants.ct(20.0) - math.pi / 2.0) <= 1e-6
+    assert abs(ct_closed_form(20.0) - math.pi / 2.0) <= 1e-6
 
 
 def test_criterion_07_ou_spectral_agreement():

@@ -29,8 +29,8 @@ from besovlab.grid import (
 )
 from besovlab.heat import default_t_grid, heat_apply, u_functional
 from besovlab.ou import (
-    GaussianConstants,
     cp_closed_form,
+    ct_closed_form,
     hermite_matrix,
     hermite_transform,
     ou_apply,
@@ -283,7 +283,7 @@ class TestGaussianSuite:
         chain = byname["v-le-u-gamma"]
         pairs = {}
         for label, weights in (("t", np.sqrt(t_grid)),
-                               ("ct", GaussianConstants.ct(t_grid))):
+                               ("ct", ct_closed_form(t_grid))):
             ratios = []
             for g in (f, coarsen(f)):
                 diffs = [lp_norm(g.with_samples(g.samples

@@ -1,11 +1,15 @@
 import csv
+import ctypes
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent import futures
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +29,14 @@ from besovlab.cli import (
 )
 from besovlab.corpus import build_corpus
 from besovlab.seminorms import v_lower_bound, v_lower_bounds
+
+
+def _openblas_threads():
+    """Thread count of numpy's OpenBLAS, or None for another BLAS."""
+    blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    getter = getattr(blas, "scipy_openblas_get_num_threads64_", None)
+    return None if getter is None else getter()
+
 
 _unit = st.floats(0.0, 1.0, exclude_min=True)
 
@@ -181,6 +193,22 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "Traceback" in err and "suite exploded" in err
+
+    def test_worker_error_is_3(self, tmp_path, capsys, monkeypatch):
+        # two functions on two CPUs: the suite raises in a forked worker,
+        # and the error comes back through the pool to the parent
+        def broken_suite(*args, **kwargs):
+            raise RuntimeError("worker suite exploded")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(cli, "certify_lebesgue_suite", broken_suite)
+        code = main(["certify", "corpus=indicator,hat", "pairs=1:1",
+                     "shape1d=129", f"output_dir={tmp_path}"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "worker suite exploded" in err
+        assert multiprocessing.active_children() == []
 
     def test_small_certify_passes(self, tmp_path, capsys):
         code = main(["certify", "corpus=indicator", "pairs=1:1",
@@ -356,6 +384,41 @@ class TestArtifacts:
                            env=env, check=True, capture_output=True)
             texts.append((out / "certificates.json").read_bytes())
         assert texts[0] == texts[1]
+
+    def test_certify_bytes_equal_inline_and_forked(self, tmp_path,
+                                                   monkeypatch):
+        # one CPU runs the suites inline, two in a pool of forked workers;
+        # both are forced, so the test means the same on any machine
+        pids = tmp_path / "pids"
+
+        def recording(*args, **kwargs):
+            with pids.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return certify_projection_suite(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "certify_projection_suite", recording)
+        texts = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, _cpus=cpus: _cpus, raising=False)
+            pids.write_text("")
+            assert main(["certify", "shape1d=129", "shape2d=33",
+                         "t_points=4", f"output_dir={tmp_path}"]) == 0
+            texts.append((tmp_path / "certificates.json").read_bytes())
+            ran_in = set(map(int, pids.read_text().split()))
+            if len(cpus) == 1:
+                assert ran_in == {os.getpid()}
+            else:
+                assert ran_in and os.getpid() not in ran_in
+            assert multiprocessing.active_children() == []
+        assert texts[0] == texts[1]
+
+    def test_certify_workers_run_one_blas_thread(self):
+        if _openblas_threads() is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread getter")
+        with futures.ProcessPoolExecutor(1, multiprocessing.get_context(
+                "fork"), cli._one_blas_thread) as pool:
+            assert pool.submit(_openblas_threads).result() == 1
 
     def test_counterexample_artifacts(self, tmp_path):
         assert main(["counterexample", "n_terms=200", "n_list=100,200",

@@ -21,12 +21,12 @@ from besovlab.grid import (
 from besovlab.ou import (
     GH_NODES,
     GH_PRUNE_WEIGHT,
-    GaussianConstants,
     HermiteCoeffs,
     abs_moment,
     conditional_expectation,
     cp_closed_form,
     cp_quadrature,
+    ct_closed_form,
     ct_quadrature,
     gauss_hermite,
     heat_upper_constant,
@@ -545,12 +545,12 @@ class TestConstants:
 
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 5.0])
     def test_ct_closed_form_vs_quadrature(self, t):
-        assert abs(GaussianConstants.ct(t) - ct_quadrature(t)) <= 1e-10
+        assert abs(ct_closed_form(t) - ct_quadrature(t)) <= 1e-10
 
     def test_ct_bounds_and_limit(self):
         t = np.geomspace(1e-4, 50, 200)
-        assert np.all(GaussianConstants.ct(t) <= np.sqrt(2 * t) + 1e-15)
-        assert GaussianConstants.ct(40.0) == pytest.approx(math.pi / 2.0,
+        assert np.all(ct_closed_form(t) <= np.sqrt(2 * t) + 1e-15)
+        assert ct_closed_form(40.0) == pytest.approx(math.pi / 2.0,
                                                            abs=1e-12)
 
     def test_abs_moments(self):
