@@ -11,7 +11,8 @@ indicator and prints the constants that link them.
 import numpy as np
 
 from besovlab import build_corpus, besov_seminorm, heat_apply, u_functional
-from besovlab.grid import lp_norm
+from besovlab.grid import lp_norm, write_csv
+from besovlab.heat import default_t_grid
 from besovlab.ou import abs_moment
 
 
@@ -28,10 +29,11 @@ def main():
         lhs = lp_norm(diff, p)
         rhs = c * seminorm * t ** (alpha / 2.0)
         print(f"  {t:9.4f}  {lhs:.5f}  <=  {rhs:.5f}")
-    value, t_star, curve = u_functional(f, p, alpha)
+    t_grid = default_t_grid()
+    value, t_star, values = u_functional(f, p, alpha, t_grid)
     print(f"\nU functional: sup value {value:.4f} at t = {t_star:.4f} "
-          f"({len(curve.entries)} curve points)")
-    curve.to_csv("heat_u_curve.csv")
+          f"({len(values)} curve points)")
+    write_csv("heat_u_curve.csv", ("t", "value"), zip(t_grid, values))
     print("curve written to heat_u_curve.csv")
 
 

@@ -27,7 +27,6 @@ from .ou import (  # noqa: F401
 )
 from .seminorms import (  # noqa: F401
     besov_seminorm,
-    directional_seminorm,
     kantorovich_norm_1d,
     psi_witness,
     semigroup_witness,

@@ -9,7 +9,8 @@ Direction discipline: left-hand sides are grid-computable quantities or
 certified lower bounds; right-hand sides are exact constants times grid
 quantities whose under-estimation is covered by the recorded slack.  Entries
 whose two sides are both lower bounds of suprema cannot be certified and are
-flagged informative.
+flagged informative.  entries_to_json gives the deterministic text of a list
+of entries; the command line writes it.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
 
 def _chain_bound(p, alpha, graded_u):
     """The chain V <= (4 C(p)/alpha + 1) * U_gamma, from U_gamma as _graded
-    returns it: (value, argmax t, curve, slack, informative).
+    returns it: (value, argmax t, values, slack, informative).
 
     The alternative constant 2 C(p) + 1 appearing in a restatement is
     smaller for alpha <= 1, so the weaker (larger) factor is used and
@@ -463,13 +464,6 @@ def entries_to_json(entries, config=None) -> str:
                     sorted(entries, key=lambda e: (e.name, repr(e.inputs)))],
     }
     return json_text(payload)
-
-
-def write_certificates(entries, path, config=None):
-    text = entries_to_json(entries, config)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
 
 
 def failures(entries):

@@ -2,14 +2,16 @@
 curves, certificate suites, the slice-blowup study and measure reports.
 
 Configuration is a flat key=value text file plus ``key=value`` overrides on
-the command line.  Every artifact embeds the effective configuration, the
+the command line.  This module is the one writer of artifacts: the engines
+return values, and each subcommand writes them through grid.write_csv or
+grid.json_text.  Every artifact embeds the effective configuration, the
 library version and the seed, and identical configurations produce
 byte-identical outputs.  ``certify`` runs its per-function suite calls in
 forked worker processes, one per CPU in the process's affinity mask; the
 bytes it writes equal those of a serial run.  Exit codes: 0 success, 1 a
 non-informative certificate entry failed (or a chaining check of
-``measure`` failed), 2 configuration error, 3 internal error (traceback on
-stderr).
+``measure`` failed), 2 configuration error (a grid too coarse for a corpus
+function included), 3 internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .certify import (
     certify_gaussian_suite,
     certify_lebesgue_suite,
     certify_projection_suite,
+    entries_to_json,
     failures,
-    write_certificates,
 )
 from .corpus import (
     GAUSSIAN_CORPUS_1D,
@@ -50,7 +52,7 @@ from .counterexample import (
     slice_blowup_profile,
 )
 from .grid import (DEFAULT_GRIDS, GAUSSIAN, LEBESGUE, Direction,
-                   GridFunction, check_exponents, check_tag_exponent,
+                   GridFunction, check_exponents, check_tag_exponent, coarsen,
                    json_text, to_csv, write_csv)
 from .heat import default_t_grid, gradient_supremum
 from .measures import (
@@ -60,8 +62,9 @@ from .measures import (
     measure_from_density,
     tv_distance,
 )
-from .ou import semigroup
-from .seminorms import besov_seminorm, v_lower_bounds
+from .ou import SPLINE_DEGREE, semigroup
+from .seminorms import (besov_seminorm, default_shift_magnitudes,
+                        v_lower_bounds)
 
 OUTPUT_DIR_ENV = "BESOVLAB_OUTPUT_DIR"
 #: the 1D functions of the "default" corpus of every command
@@ -223,6 +226,12 @@ def _write_manifest(path: Path, config: RunConfig, extra):
     path.write_text(json_text({"config": config.echo(), **extra}))
 
 
+def _too_coarse(name, f, reason):
+    """The configuration error of a grid with too few points for name."""
+    return ConfigError(f"shape{f.dim}d: {f.shape[0]} points are too few for "
+                       f"{name}: {reason}")
+
+
 def _stem(name):
     """File-name stem of a corpus name: hermite(2) -> hermite_2."""
     return name.replace("(", "_").replace(")", "").replace(".", "p")
@@ -249,6 +258,10 @@ def run_seminorm(config: RunConfig) -> int:
         if f.measure != LEBESGUE:
             raise ConfigError(f"corpus: {name} is Gaussian-tagged; shift "
                               "seminorms need a Lebesgue-tagged function")
+        try:
+            default_shift_magnitudes(f)
+        except ValueError as exc:
+            raise _too_coarse(name, f, exc)
         ests = [besov_seminorm(f, p, alpha) for p, alpha in config.pairs]
         # one witness search for every pair whose seminorm is positive
         witnesses = iter(v_lower_bounds(f, [
@@ -274,11 +287,12 @@ def run_semigroup(config: RunConfig) -> int:
         kind = gradient.__module__.rsplit(".", 1)[-1]
         fields = [gradient(f, t) for t in t_grid]
         for p, alpha in config.pairs:
-            value, t_star, curve = gradient_supremum(fields, t_grid, p, alpha)
+            value, t_star, values = gradient_supremum(fields, t_grid, p,
+                                                      alpha)
             # reals as in the echo, so distinct pairs get distinct files
             stem = f"{_stem(name)}_{kind}_p{_real(p)}_a{_real(alpha)}"
             path = out / f"{stem}.csv"
-            curve.to_csv(path)
+            write_csv(path, ("t", "value"), zip(t_grid, values))
             summary.append({"function": name, "kind": kind, "p": p,
                             "alpha": alpha, "value": value,
                             "argmax_t": t_star, "file": path.name})
@@ -319,8 +333,10 @@ def run_certify(config: RunConfig) -> int:
     call with every pair, so each function's OU orbit and witness search
     serve all pairs), or the 2D projection suite, which runs the first pair
     only.  The discretization slack coarsens each grid by two, so both point
-    counts must be odd.  A Gaussian function takes no p = inf pair: its
-    chain constant C(p) is infinite (grid.check_tag_exponent).
+    counts must be odd, and the coarse copy must still carry the default
+    shift range (Lebesgue) or the OU spline (Gaussian).  A Gaussian
+    function takes no p = inf pair: its chain constant C(p) is infinite
+    (grid.check_tag_exponent).
 
     The suite calls are independent, so they run in forked worker processes,
     one per CPU in the affinity mask (inline when that is one CPU, or the
@@ -339,6 +355,18 @@ def run_certify(config: RunConfig) -> int:
                 check_tag_exponent(f, p)
         except ValueError as exc:
             raise ConfigError(f"corpus: {name}: {exc}")
+        # the slack's coarse copy needs more nodes per axis than the OU
+        # spline's degree (Gaussian) or the default shift range (Lebesgue)
+        fc = coarsen(f)
+        if f.measure == GAUSSIAN and min(fc.shape) <= SPLINE_DEGREE:
+            raise _too_coarse(name, f, f"its coarse copy has {min(fc.shape)} "
+                              f"nodes per axis; the OU spline of degree "
+                              f"{SPLINE_DEGREE} needs more")
+        if f.measure == LEBESGUE:
+            try:
+                default_shift_magnitudes(fc)
+            except ValueError as exc:
+                raise _too_coarse(name, f, f"coarse copy: {exc}")
     tasks = [(name, f, config.pairs, t_grid) for name, f in corpus]
     workers = min(len(tasks), len(os.sched_getaffinity(0))
                   if hasattr(os, "sched_getaffinity") else 1)
@@ -349,8 +377,8 @@ def run_certify(config: RunConfig) -> int:
     else:
         results = map(_certify_one, tasks)
     entries = [entry for result in results for entry in result]
-    write_certificates(entries, out / "certificates.json",
-                       config=config.echo())
+    (out / "certificates.json").write_text(
+        entries_to_json(entries, config.echo()))
     bad = failures(entries)
     for entry in bad:
         print(f"FAIL {entry.name} [{entry.inputs}] lhs={entry.lhs:.6g} "

@@ -38,16 +38,15 @@ class CounterexampleSpec:
     alpha: smoothness order in (0, 1)
     n_terms: largest sine index N
     k_start: first index (>= 2, since the k = 1 interval length degenerates)
-    placements: left endpoints L_k of the wrapped intervals J_k, k_start..N
 
-    The per-k arrays (indices, left endpoints, right ends L_k + |J_k| and
-    amplitudes) are built once here and take no part in equality.
+    The per-k arrays (indices, left endpoints L_k of the wrapped intervals
+    J_k, right ends L_k + |J_k| and amplitudes) are built once here and take
+    no part in equality: (alpha, n_terms, k_start) determine them.
     """
 
     alpha: float
     n_terms: int
     k_start: int = 2
-    placements: tuple = field(init=False)
     _indices: np.ndarray = field(init=False, repr=False, compare=False)
     _lefts: np.ndarray = field(init=False, repr=False, compare=False)
     _ends: np.ndarray = field(init=False, repr=False, compare=False)
@@ -65,7 +64,6 @@ class CounterexampleSpec:
         # running sums in k order, the same additions as a scalar loop
         lefts = np.concatenate(([0.0], np.cumsum(lengths[:-1]))) % 1.0
         for name, value in (
-                ("placements", tuple(lefts.tolist())),
                 ("_indices", np.array(ks)),
                 ("_lefts", lefts),
                 ("_ends", lefts + lengths),
@@ -73,7 +71,7 @@ class CounterexampleSpec:
             object.__setattr__(self, name, value)
 
     def left_endpoint(self, k):
-        return self.placements[k - self.k_start]
+        return float(self._lefts[k - self.k_start])
 
     def amplitude(self, k):
         """k^(-alpha) sqrt(ln k), the height of the k-th block."""

@@ -6,50 +6,21 @@ kernel's derivative along one axis.  Every convolution is a zero-padded FFT
 over scipy.fft: heat_apply and heat_gradient convolve one axis at a time at
 the full convolution's fast length, and heat_gradient_sum, a weighted sum of
 grad P_t over many times, is one Fourier multiplier on f padded to 2n - 1
-points per axis.
+points per axis.  gradient_supremum, shared with the OU functional, returns
+its curve as a float array aligned with the t grid; writing it is left to
+the caller.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, irfft, irfftn, next_fast_len, rfft, rfftn
 
 from .grid import (LEBESGUE, GridFunction, VectorFieldGrid, check_exponents,
-                   field_lq_norm, require_tag, write_csv)
+                   field_lq_norm, require_tag)
 
 #: kernel truncation radius in units of sqrt(t); tail mass below 1e-15
 KERNEL_RADIUS_SIGMAS = 8.0
-
-
-@dataclass(frozen=True)
-class SemigroupCurve:
-    """Sampled map t -> value for semigroup quantities."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple((float(t), float(v)) for t, v in self.entries)
-        object.__setattr__(self, "entries", entries)
-        ts = [t for t, _ in entries]
-        if any(t <= 0 for t in ts):
-            raise ValueError("t must be positive")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("t must be strictly increasing")
-        if not all(np.isfinite(v) for _, v in entries):
-            raise ValueError("values must be finite")
-
-    @property
-    def t(self):
-        return np.array([t for t, _ in self.entries])
-
-    @property
-    def values(self):
-        return np.array([v for _, v in self.entries])
-
-    def to_csv(self, path):
-        write_csv(path, ("t", "value"), self.entries)
 
 
 def default_t_grid(num=64):
@@ -170,26 +141,32 @@ def gradient_supremum(fields, t_grid, p, alpha):
     """Grid supremum of t^((1-alpha)/2) ||field_t||_p over t_grid, with the
     pointwise Euclidean magnitude of each field.
 
-    fields holds the semigroup gradient at each grid t, in order, as the
-    caller computed it (a lazy iterable is read only after the arguments
-    are checked).  The supremum shared by the heat and OU functionals.
-    Returns (value, argmax t, SemigroupCurve).
+    t_grid must be nonempty, positive and strictly increasing; fields holds
+    the semigroup gradient at each grid t, in order, as the caller computed
+    it (a lazy iterable is read only after the arguments are checked).  The
+    supremum shared by the heat and OU functionals.  Returns (value, argmax
+    t, values), values a float array of the weighted norms aligned with
+    t_grid.
     """
     check_exponents(p, alpha)
-    if len(t_grid) == 0:
+    ts = np.asarray(t_grid, float)
+    if ts.size == 0:
         raise ValueError("t_grid must be nonempty")
+    if not np.all(ts > 0):
+        raise ValueError("t must be positive")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("t must be strictly increasing")
     vals = [t ** ((1.0 - alpha) / 2.0) * field_lq_norm(field, p)
             for t, field in zip(t_grid, fields, strict=True)]
-    curve = SemigroupCurve(tuple(zip(t_grid, vals)))
     k = int(np.argmax(vals))
-    return vals[k], float(t_grid[k]), curve
+    return vals[k], float(t_grid[k]), np.array(vals, float)
 
 
 def u_functional(f: GridFunction, p, alpha, t_grid=None):
     """Grid supremum of t^((1-alpha)/2) ||grad P_t f||_p.
 
-    Returns (value, argmax t, SemigroupCurve); the value is a certified lower
-    bound of the true supremum.
+    Returns gradient_supremum's (value, argmax t, values); the value is a
+    certified lower bound of the true supremum.
     """
     t_grid = t_points(t_grid)
     return gradient_supremum((heat_gradient(f, t) for t in t_grid), t_grid,

@@ -215,7 +215,8 @@ def semigroup(f: GridFunction):
 
 
 def u_gamma_functional(f: GridFunction, p, alpha, t_grid=None):
-    """Grid supremum of t^((1-alpha)/2) ||grad T_t f||_p (lower bound)."""
+    """Grid supremum of t^((1-alpha)/2) ||grad T_t f||_p (lower bound), as
+    gradient_supremum's (value, argmax t, values)."""
     t_grid = heat.t_points(t_grid)
     return heat.gradient_supremum((ou_gradient(f, t) for t in t_grid),
                                   t_grid, p, alpha)

@@ -1,11 +1,11 @@
 """Fractional smoothness functionals on grids.
 
-Shift seminorm sup_h |h|^(-alpha) ||f_h - f||_p, its directional variant,
-lower-bound witnesses for the variational functional V (the best constant in
-the nonlinear integration-by-parts inequality), and the one-dimensional
-Gaussian Kantorovich norm.  Every V test object is a vector field: the
-directional form of V is the supremum over fields psi * e along one
-direction e (grid.along), and the Gaussian form pairs the same quotient with
+Shift seminorm sup_h |h|^(-alpha) ||f_h - f||_p, lower-bound witnesses for
+the variational functional V (the best constant in the nonlinear
+integration-by-parts inequality), and the one-dimensional Gaussian
+Kantorovich norm.  Every V test object is a vector field: the directional
+form of V is the supremum over fields psi * e along one direction e
+(grid.along), and the Gaussian form pairs the same quotient with
 div_gamma.  The witnesses are the two constructions of the proofs, both
 deterministic: a near-dual-optimal phi integrated along the shift segment
 (segment-integral) or along the heat / OU semigroup (semigroup-integral).
@@ -109,8 +109,6 @@ def shift_quotient(f: GridFunction, h, p, alpha) -> float:
 
 def _estimate(f, p, alpha, shifts):
     vals = [shift_quotient(f, h, p, alpha) for h in shifts]
-    if not vals:
-        raise ValueError("empty shift grid")
     k = int(np.argmax(vals))
     best_h = np.asarray(shifts[k], dtype=float)
     best = vals[k]
@@ -144,23 +142,15 @@ def _estimate(f, p, alpha, shifts):
                          cap_limited)
 
 
-def besov_seminorm(f: GridFunction, p, alpha, h_grid=None) -> BesovEstimate:
-    """Grid supremum of the shift quotient (a certified lower bound)."""
+def besov_seminorm(f: GridFunction, p, alpha) -> BesovEstimate:
+    """Grid supremum of the shift quotient over the default magnitudes
+    along each default direction (a certified lower bound)."""
     check_exponents(p, alpha)
     require_tag(f, LEBESGUE, "a shift seminorm")
-    if h_grid is None:
-        mags = default_shift_magnitudes(f)
-        h_grid = [m * np.asarray(e.e) for e in _default_directions(f.dim)
-                  for m in mags]
-    return _estimate(f, p, alpha, list(h_grid))
-
-
-def directional_seminorm(f: GridFunction, p, alpha,
-                         e: Direction) -> BesovEstimate:
-    """Shift seminorm restricted to shifts t*e, t over the default
-    magnitudes."""
-    return besov_seminorm(f, p, alpha, [t * np.asarray(e.e)
-                                        for t in default_shift_magnitudes(f)])
+    mags = default_shift_magnitudes(f)
+    return _estimate(f, p, alpha, [m * np.asarray(e.e)
+                                   for e in _default_directions(f.dim)
+                                   for m in mags])
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,30 @@ class TestExitCodes:
         assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "certificates.json").exists()
 
+    @pytest.mark.parametrize("argv, field", [
+        (["certify", "shape1d=81", "corpus=hat"], "shape1d"),
+        (["certify", "corpus=indicator2d", "shape2d=33"], "shape2d"),
+        (["seminorm", "shape1d=41"], "shape1d"),
+        (["certify", "corpus=hermite(1)", "shape1d=9"], "shape1d"),
+        (["certify", "corpus=x2d", "shape2d=9"], "shape2d"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else v)
+    def test_too_coarse_grid_is_2(self, argv, field, tmp_path, capsys):
+        # the shift range of the grid (seminorm) or of its coarse copy
+        # (certify) is empty, or the coarse copy has too few nodes for the
+        # OU spline: a configuration error naming the field, no traceback
+        assert main(argv + [f"output_dir={tmp_path}"]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {field}:" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_coarsest_accepted_grids_run(self, tmp_path):
+        # one point pair more than each rejected grid above
+        for argv in (["certify", "shape1d=83", "corpus=hat"],
+                     ["seminorm", "shape1d=43", "corpus=hat"],
+                     ["certify", "shape1d=11", "corpus=hermite(1)"]):
+            assert main(argv + ["t_points=4", f"output_dir={tmp_path}"]) == 0
+
     def test_gaussian_name_to_seminorm_is_2(self, tmp_path, capsys):
         # shift seminorms are Lebesgue-only: a Gaussian corpus name is a
         # configuration error, not an internal one, and writes no results

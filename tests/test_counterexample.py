@@ -91,7 +91,9 @@ class TestSpec:
     def test_deterministic(self):
         a = CounterexampleSpec(0.5, 200)
         b = CounterexampleSpec(0.5, 200)
-        assert a.placements == b.placements
+        assert a == b
+        assert [a.left_endpoint(k) for k in range(2, 201)] == \
+            [b.left_endpoint(k) for k in range(2, 201)]
 
 
 class TestBuild:

@@ -10,9 +10,8 @@ from scipy.special import erf
 
 from besovlab.corpus import build_corpus
 from besovlab.grid import GridFunction, MeasureMismatchError, integrate, lp_norm
-from besovlab.heat import (SemigroupCurve, _axis_kernel, _convolve_axis,
-                           heat_apply, heat_gradient, heat_gradient_sum,
-                           u_functional)
+from besovlab.heat import (_axis_kernel, _convolve_axis, heat_apply,
+                           heat_gradient, heat_gradient_sum, u_functional)
 from besovlab.seminorms import _semigroup_nodes
 
 
@@ -177,9 +176,12 @@ class TestUFunctional:
         assert value == 0.0
 
     def test_indicator_alpha_one(self):
-        value, t_star, curve = u_functional(build_corpus("indicator"), 1, 1.0)
+        t_grid = np.geomspace(1e-4, 1e2, 64)
+        value, t_star, values = u_functional(build_corpus("indicator"), 1, 1.0,
+                                             t_grid)
         assert value >= 1.98
-        assert t_star == pytest.approx(curve.t[np.argmax(curve.values)])
+        assert values.shape == t_grid.shape and value == values.max()
+        assert t_star == t_grid[np.argmax(values)]
 
     def test_indicator_alpha_half_scalar_oracle(self):
         # oracle: maximize t^(1/4) * 2 erf(1/(2 sqrt(2 t))) by scalar search
@@ -195,19 +197,11 @@ class TestUFunctional:
         with pytest.raises(ValueError):
             u_functional(bump(257), 2, 0.5, t_grid=[])
 
-
-class TestSemigroupCurve:
     def test_monotone_t_required(self):
-        with pytest.raises(ValueError):
-            SemigroupCurve(((1.0, 0.0), (0.5, 0.0)))
-
-    def test_csv_format(self, tmp_path):
-        c = SemigroupCurve(((0.1, 1.0), (1.0, 0.5)))
-        path = tmp_path / "curve.csv"
-        c.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,value"
-        assert len(lines) == 3
+        # t must be positive and strictly increasing
+        for t_grid in ([1.0, 0.5], [0.5, 0.5], [0.0, 1.0], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="t must be"):
+                u_functional(bump(257), 2, 0.5, t_grid=t_grid)
 
 
 # s, t >= 0.01 keeps sqrt(s) at 6 or more cells of the 1025-point grid; an

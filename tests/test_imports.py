@@ -1,8 +1,9 @@
 """Static import hygiene of the package, read with the standard library's
 ast: outside __init__ (which re-exports), every module-level import is used
 and no import hides inside a function, where it would mask an import cycle;
-only grid imports csv and json, the formats of every artifact.  A process
-that imports the command line loads neither scipy.signal nor scipy.stats.
+only grid imports csv and json, the formats of every artifact, and only
+cli, beside grid, calls a file writer.  A process that imports the command
+line loads neither scipy.signal nor scipy.stats.
 """
 
 import ast
@@ -63,6 +64,29 @@ def test_only_grid_imports_csv_and_json():
     importers = {path.name for path in MODULES
                  if {"csv", "json"} & set(_imported_modules(_tree(path)))}
     assert importers == {"grid.py"}
+
+
+#: callees that write a file, by their last dotted name
+WRITERS = {"open", "write_text", "write_bytes", "write_csv", "to_csv"}
+
+
+def _writer_calls(tree):
+    """Callee and line of each call that writes a file: a WRITERS name,
+    alone or as an attribute, or np.save, np.savez, np.savetxt and kin."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = ast.unparse(node.func)
+            if (callee.rsplit(".", 1)[-1] in WRITERS
+                    or callee.startswith(("np.save", "numpy.save"))):
+                yield f"{callee} (line {node.lineno})"
+
+
+def test_only_cli_writes_artifacts():
+    # grid holds the format (write_csv, json_text, save) and cli is the one
+    # writer; an engine returns values and writes no file
+    writers = {path.name: list(_writer_calls(_tree(path)))
+               for path in MODULES if path.name not in {"grid.py", "cli.py"}}
+    assert {name: calls for name, calls in writers.items() if calls} == {}
 
 
 def test_cli_import_loads_no_scipy_signal_or_stats():

@@ -30,7 +30,6 @@ from besovlab.seminorms import (
     BesovEstimate,
     besov_seminorm,
     default_shift_magnitudes,
-    directional_seminorm,
     kantorovich_norm_1d,
     psi_witness,
     semigroup_witness,
@@ -79,7 +78,7 @@ class TestBesovSeminorm:
             return quotient(*args)
 
         monkeypatch.setattr(seminorms, "shift_quotient", nudged)
-        est = besov_seminorm(f, 2, 0.5, h_grid=h_grid)
+        est = seminorms._estimate(f, 2, 0.5, h_grid)
         assert len(calls) == last
         k = int(np.argmax(grid_vals))
         assert est.witness_h == h_grid[k]
@@ -99,7 +98,7 @@ class TestBesovSeminorm:
         # out at the cap
         f = build_corpus("indicator")
         h_grid = [(h,) for h in np.geomspace(4 * f.dx[0], 0.1, 40)]
-        est = besov_seminorm(f, 1, 0.5, h_grid=h_grid)
+        est = seminorms._estimate(f, 1, 0.5, h_grid)
         assert est.value == pytest.approx(2.0 * math.sqrt(0.1), rel=0.02)
         assert est.cap_limited
 
@@ -121,34 +120,9 @@ class TestBesovSeminorm:
         b = besov_seminorm(scaled, 1, 0.5).value
         assert b == pytest.approx(abs(c) * a, rel=1e-12)
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            besov_seminorm(build_corpus("hat"), 1, 0.5, h_grid=[])
-
     def test_gaussian_tag_rejected(self):
         with pytest.raises(ValueError):
             besov_seminorm(build_corpus("hermite(1)"), 2, 0.5)
-
-
-class TestDirectionalSeminorm:
-    def test_axis_symmetry(self):
-        # hat2d is symmetric in its axes, so the two axis values coincide
-        f = build_corpus("hat2d", shape=(257, 257))
-        a = directional_seminorm(f, 1, 0.5, Direction((1.0, 0.0))).value
-        b = directional_seminorm(f, 1, 0.5, Direction((0.0, 1.0))).value
-        assert a == pytest.approx(b, rel=1e-10)
-
-    def test_square_slab_difference(self):
-        f = build_corpus("indicator2d", shape=(513, 513))
-        est = directional_seminorm(f, 1, 1.0, Direction((1.0, 0.0)))
-        assert est.value == pytest.approx(2.0, rel=0.02)
-
-    def test_matches_1d_value(self):
-        f2 = build_corpus("indicator2d", shape=(513, 513))
-        f1 = build_corpus("indicator")
-        a = directional_seminorm(f2, 1, 1.0, Direction((1.0, 0.0))).value
-        b = besov_seminorm(f1, 1, 1.0).value
-        assert a == pytest.approx(b, rel=0.02)
 
 
 class TestVQuotient:
