@@ -9,7 +9,8 @@ from scipy.signal import fftconvolve
 from scipy.special import erf
 
 from besovlab.corpus import build_corpus
-from besovlab.grid import GridFunction, MeasureMismatchError, integrate, lp_norm
+from besovlab.grid import (GridFunction, MeasureMismatchError, integrate,
+                           lp_norm, write_csv)
 from besovlab.heat import (_axis_kernel, _convolve_axis, heat_apply,
                            heat_gradient, heat_gradient_sum, u_functional)
 from besovlab.seminorms import _semigroup_nodes
@@ -202,6 +203,20 @@ class TestUFunctional:
         for t_grid in ([1.0, 0.5], [0.5, 0.5], [0.0, 1.0], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="t must be"):
                 u_functional(bump(257), 2, 0.5, t_grid=t_grid)
+
+
+class TestSemigroupCurve:
+    def test_csv_format(self, tmp_path):
+        # the curve is written as the semigroup command and demo write it
+        t_grid = [0.1, 1.0]
+        _, _, values = u_functional(bump(257), 2, 0.5, t_grid=t_grid)
+        path = tmp_path / "curve.csv"
+        write_csv(path, ("t", "value"), zip(t_grid, values))
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "t,value"
+        assert len(lines) == 3
+        rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        assert rows == list(zip(t_grid, values))
 
 
 # s, t >= 0.01 keeps sqrt(s) at 6 or more cells of the 1025-point grid; an
