@@ -152,11 +152,11 @@ def _max_ratio(diffs, weights, t_grid):
     return float(vals[k]), float(t_grid[k])
 
 
-def _gaussian_t_grid(f, t_grid):
-    """t_grid, or by default 16 points in 2D (where each OU pass costs the
-    most) and default_t_grid() in 1D."""
-    return t_points(default_t_grid(16) if t_grid is None and f.dim == 2
-                    else t_grid)
+def _u_gamma_grid(seq):
+    """The U_gamma sub-grid rule of both Gaussian suites: every item of seq
+    (t grid points, or what was computed at them) when there are at most 16,
+    else every fourth."""
+    return seq if len(seq) <= 16 else seq[::4]
 
 
 # ---------------------------------------------------------------------------
@@ -268,52 +268,56 @@ def _chain_bound(p, alpha, graded_u):
     }
 
 
-def v_gamma_upper_bound(f: GridFunction, p, alpha, t_grid=None):
+def v_gamma_upper_bound(f: GridFunction, p, alpha, t_grid):
     """Chain upper bound for the Gaussian variational functional, with
-    U_gamma from u_gamma_functional on f and coarsen(f) (see _chain_bound).
+    U_gamma from u_gamma_functional on f and coarsen(f) over the U_gamma
+    sub-grid of t_grid (see _chain_bound).  t_grid None stands for 16 points
+    of default_t_grid, since a 2D OU pass costs the most.
     """
-    t_grid = _gaussian_t_grid(f, t_grid)
+    u_grid = _u_gamma_grid(t_points(default_t_grid(16) if t_grid is None
+                                    else t_grid))
     return _chain_bound(p, alpha, _graded(
-        lambda g: u_gamma_functional(g, p, alpha, t_grid), f, coarsen(f)))
+        lambda g: u_gamma_functional(g, p, alpha, u_grid), f, coarsen(f)))
 
 
 def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
-    """OU approximation, Poincare, chain bounds and the 1D transport bound,
-    for every (p, alpha) of pairs, in order.
+    """OU approximation, Poincare, chain bounds and the transport bound, for
+    every (p, alpha) of pairs, in order, on a 1D Gaussian-tagged f (a 2D
+    target goes to certify_projection_suite).
 
+    t_grid (default_t_grid() for None) is the grid of every t-curve entry.
     T_t f and grad T_t f do not depend on (p, alpha), so each is computed
     once per call: one sweep of ou_step over the grid t, on f and on
     coarsen(f), gives every ||g - T_t g||_p and every U_gamma of the
     entries, at each p and at p = 1 for the transport entry, and one
-    v_lower_bounds call gives every witness.  U_gamma reads all grid t when
-    there are at most 16, else every fourth.  A 1D f with nonzero mean has
+    v_lower_bounds call gives every witness.  U_gamma reads the sub-grid of
+    _u_gamma_grid, as v_gamma_upper_bound does.  An f with nonzero mean has
     the centered f as its transport target, whose grad T_t at those t is
     computed once per call, on it and on its coarsening.
     """
     require_tag(f, GAUSSIAN, "the Gaussian suite")
+    if f.dim != 1:
+        raise ValueError("2D targets go to certify_projection_suite")
+    t_grid = t_points(t_grid)
     witnesses = v_lower_bounds(f, pairs)
-    t_grid = _gaussian_t_grid(f, t_grid)
     fc = coarsen(f)
 
-    step = 4 if len(t_grid) > 16 else 1
-    u_grid = t_grid[::step]
+    u_grid = _u_gamma_grid(t_grid)
     sweeps = [[ou_step(g, t) for t in t_grid] for g in (f, fc)]
     diffs = {p: [_diff_norms(g, p, [value for value, _ in sweep])
                  for g, sweep in zip((f, fc), sweeps)]
              for p in {p for p, _ in pairs}}
-    grads = [[grad for _, grad in sweep[::step]] for sweep in sweeps]
+    grads = [_u_gamma_grid([grad for _, grad in sweep]) for sweep in sweeps]
 
     def graded_u(r, alpha, fields):
         return _graded(lambda level: gradient_supremum(level, u_grid, r,
                                                        alpha), *fields)
 
     (mean, centered), (_, centered_c) = center(f), center(fc)
-    if f.dim == 1:
-        target = centered if abs(mean) > ZERO_MEAN_TOLERANCE else f
-        k_norm, target_l1 = kantorovich_norm_1d(target), lp_norm(target, 1)
-        target_grads = grads if target is f else [
-            [ou_step(g, t)[1] for t in u_grid]
-            for g in (target, coarsen(target))]
+    target = centered if abs(mean) > ZERO_MEAN_TOLERANCE else f
+    k_norm, target_l1 = kantorovich_norm_1d(target), lp_norm(target, 1)
+    target_grads = grads if target is f else [
+        [ou_step(g, t)[1] for t in u_grid] for g in (target, coarsen(target))]
 
     entries = []
     for (p, alpha), witness in zip(pairs, witnesses):
@@ -375,20 +379,19 @@ def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
             lhs=witness.quotient, rhs=chain_p["constant"] * u_val,
             slack=eps_u, inputs=_inputs(f_name, p, alpha), informative=inf_u))
 
-        if f.dim == 1:
-            v_up_1, chain_1 = _chain_bound(1, alpha,
-                                           graded_u(1, alpha, target_grads))
-            entries.append(make_entry(
-                "transport-interpolation",
-                "||f||_1 <= 3 V^(1/(1+alpha)) ||f||_K^(alpha/(1+alpha)), V "
-                "from the chain bound at p=1",
-                lhs=target_l1,
-                rhs=3.0 * v_up_1 ** (1.0 / (1.0 + alpha))
-                    * k_norm ** (alpha / (1.0 + alpha)),
-                slack=chain_1["u_slack"],
-                inputs=_inputs(f_name, p, alpha, kantorovich=k_norm,
-                               centered=target is centered),
-                informative=chain_1["u_informative"]))
+        v_up_1, chain_1 = _chain_bound(1, alpha,
+                                       graded_u(1, alpha, target_grads))
+        entries.append(make_entry(
+            "transport-interpolation",
+            "||f||_1 <= 3 V^(1/(1+alpha)) ||f||_K^(alpha/(1+alpha)), V "
+            "from the chain bound at p=1",
+            lhs=target_l1,
+            rhs=3.0 * v_up_1 ** (1.0 / (1.0 + alpha))
+                * k_norm ** (alpha / (1.0 + alpha)),
+            slack=chain_1["u_slack"],
+            inputs=_inputs(f_name, p, alpha, kantorovich=k_norm,
+                           centered=target is centered),
+            informative=chain_1["u_informative"]))
     return entries
 
 
@@ -396,15 +399,17 @@ def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
 # Projection suite (2D -> 1D)
 
 
-def certify_projection_suite(f: GridFunction, p, alpha, f_name="f"):
+def certify_projection_suite(f: GridFunction, p, alpha, t_grid=None,
+                             f_name="f"):
     """Projection monotonicity and semigroup commutation for 2D targets.
 
     f must be 2D and Gaussian-tagged; the first step, conditional_expectation,
-    checks both.
+    checks both.  The chain bound reads U_gamma over the sub-grid of t_grid
+    that the Gaussian suite reads (v_gamma_upper_bound; 16 points for None).
     """
     g = conditional_expectation(f, kept_axis=0)
+    v_up, chain_info = v_gamma_upper_bound(f, p, alpha, t_grid)
     w1 = v_lower_bound(g, p, alpha)
-    v_up, chain_info = v_gamma_upper_bound(f, p, alpha)
     entries = [make_entry(
         "projection-monotonicity",
         "witness V of the conditional expectation <= chain V bound of the "

@@ -307,7 +307,8 @@ def _certify_one(task):
     globals, so a patched suite reaches the workers too."""
     name, f, pairs, t_grid = task
     if f.measure == GAUSSIAN and f.dim == 2:
-        return certify_projection_suite(f, *pairs[0], f_name=name)
+        return certify_projection_suite(f, *pairs[0], t_grid=t_grid,
+                                        f_name=name)
     if f.measure == GAUSSIAN:
         return certify_gaussian_suite(f, pairs, t_grid=t_grid, f_name=name)
     return [entry for p, alpha in pairs for entry in certify_lebesgue_suite(
@@ -332,11 +333,14 @@ def run_certify(config: RunConfig) -> int:
     dimension: Lebesgue (1D or 2D, one call per pair), Gaussian 1D (one
     call with every pair, so each function's OU orbit and witness search
     serve all pairs), or the 2D projection suite, which runs the first pair
-    only.  The discretization slack coarsens each grid by two, so both point
-    counts must be odd, and the coarse copy must still carry the default
-    shift range (Lebesgue) or the OU spline (Gaussian).  A Gaussian
-    function takes no p = inf pair: its chain constant C(p) is infinite
-    (grid.check_tag_exponent).
+    only.  Every suite reads the run's t grid, default_t_grid(t_points); U
+    reads a sub-grid of it, every fourth t in the Lebesgue suite, and in
+    both Gaussian suites every t up to 16 points, else every fourth
+    (certify._u_gamma_grid).  The discretization slack coarsens each grid
+    by two, so both point counts must be odd, and the coarse copy must
+    still carry the default shift range (Lebesgue) or the OU spline
+    (Gaussian).  A Gaussian function takes no p = inf pair: its chain
+    constant C(p) is infinite (grid.check_tag_exponent).
 
     The suite calls are independent, so they run in forked worker processes,
     one per CPU in the affinity mask (inline when that is one CPU, or the

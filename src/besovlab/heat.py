@@ -6,9 +6,12 @@ kernel's derivative along one axis.  Every convolution is a zero-padded FFT
 over scipy.fft: heat_apply and heat_gradient convolve one axis at a time at
 the full convolution's fast length, and heat_gradient_sum, a weighted sum of
 grad P_t over many times, is one Fourier multiplier on f padded to 2n - 1
-points per axis.  gradient_supremum, shared with the OU functional, returns
-its curve as a float array aligned with the t grid; writing it is left to
-the caller.
+points per axis.  t_points is the one check of a t grid (a nonempty 1D
+sequence, positive, strictly increasing), and fills in the default grid;
+every public entry point that takes a t grid runs it once.
+gradient_supremum, shared with the OU functional, reads a grid so checked
+and returns its curve as a float array aligned with the t grid; writing it
+is left to the caller.
 """
 
 from __future__ import annotations
@@ -133,29 +136,32 @@ def heat_gradient_sum(f: GridFunction, times, weights) -> VectorFieldGrid:
 
 
 def t_points(t_grid):
-    """t_grid as a float array, or default_t_grid() for None."""
-    return np.asarray(default_t_grid() if t_grid is None else t_grid, float)
+    """t_grid as a float array, or default_t_grid() for None: the one check
+    of a t grid, run once by each public entry point that takes one.  The
+    grid must be a nonempty 1D sequence, positive and strictly increasing."""
+    ts = np.asarray(default_t_grid() if t_grid is None else t_grid, float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("t_grid must be a nonempty 1D sequence")
+    if not np.all(ts > 0):
+        raise ValueError("t must be positive")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("t must be strictly increasing")
+    return ts
 
 
 def gradient_supremum(fields, t_grid, p, alpha):
     """Grid supremum of t^((1-alpha)/2) ||field_t||_p over t_grid, with the
     pointwise Euclidean magnitude of each field.
 
-    t_grid must be nonempty, positive and strictly increasing; fields holds
-    the semigroup gradient at each grid t, in order, as the caller computed
-    it (a lazy iterable is read only after the arguments are checked).  The
-    supremum shared by the heat and OU functionals.  Returns (value, argmax
-    t, values), values a float array of the weighted norms aligned with
-    t_grid.
+    t_grid must be nonempty, positive and strictly increasing, as t_points
+    returns it; the caller checked it once, and it is not checked again here.
+    fields holds the semigroup gradient at each grid t, in order, as the
+    caller computed it (a lazy iterable is read only after p and alpha are
+    checked).  The supremum shared by the heat and OU functionals.  Returns
+    (value, argmax t, values), values a float array of the weighted norms
+    aligned with t_grid.
     """
     check_exponents(p, alpha)
-    ts = np.asarray(t_grid, float)
-    if ts.size == 0:
-        raise ValueError("t_grid must be nonempty")
-    if not np.all(ts > 0):
-        raise ValueError("t must be positive")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("t must be strictly increasing")
     vals = [t ** ((1.0 - alpha) / 2.0) * field_lq_norm(field, p)
             for t, field in zip(t_grid, fields, strict=True)]
     k = int(np.argmax(vals))

@@ -7,6 +7,7 @@ from besovlab import ou
 from besovlab.corpus import build_corpus
 from besovlab.certify import (
     CertificateEntry,
+    _u_gamma_grid,
     certify_embedding_p2,
     certify_gaussian_suite,
     certify_lebesgue_suite,
@@ -181,14 +182,17 @@ class TestGaussianSuite:
             certify_gaussian_suite(build_corpus("bump"), [(2, 0.5)])
 
     def test_chain_bound_from_v_gamma_upper_bound(self):
+        # both read U_gamma over the same sub-grid: all 4 t, or every
+        # fourth of 20
         f = build_corpus("hermite(2)", shape=(1025,))
-        t_grid = default_t_grid(4)
-        entries = certify_gaussian_suite(f, [(2, 0.5)], t_grid=t_grid)
-        v_up, chain = v_gamma_upper_bound(f, 2, 0.5, t_grid)
-        byname = {e.name: e for e in entries}
-        assert byname["ou-approximation-curve"].inputs["v_upper"] == v_up
-        assert byname["v-le-u-gamma"].rhs == \
-            chain["constant"] * chain["u_value"]
+        for num in (4, 20):
+            t_grid = default_t_grid(num)
+            entries = certify_gaussian_suite(f, [(2, 0.5)], t_grid=t_grid)
+            v_up, chain = v_gamma_upper_bound(f, 2, 0.5, t_grid)
+            byname = {e.name: e for e in entries}
+            assert byname["ou-approximation-curve"].inputs["v_upper"] == v_up
+            assert byname["v-le-u-gamma"].rhs == \
+                chain["constant"] * chain["u_value"]
 
     @pytest.mark.parametrize("p, alpha", [(2, 0.5), (1, 1.0)])
     def test_one_ou_sweep_per_grid_level(self, monkeypatch, p, alpha):
@@ -361,6 +365,61 @@ class TestProjectionSuite:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             certify_projection_suite(build_corpus("hermite(1)"), 2, 0.5)
+
+
+#: t grids every entry point rejects; of the last one, every fourth point
+#: is increasing, which is all a 20-point U sub-grid reads
+BAD_T_GRIDS = {
+    "empty": [],
+    "scalar": 0.5,
+    "two-d": [[0.1, 1.0], [2.0, 3.0]],
+    "zero": [0.0, 1.0],
+    "nan": [0.1, math.nan, 1.0],
+    "second-below-first": [0.5, 0.1, 1.0, 2.0, 3.0],
+    "increasing-every-fourth": [0.5, 0.1, *range(1, 20)],
+}
+
+
+class TestTGrid:
+    @pytest.mark.parametrize("t_grid", BAD_T_GRIDS.values(),
+                             ids=BAD_T_GRIDS.keys())
+    @pytest.mark.parametrize("call", [
+        lambda ts: certify_lebesgue_suite(build_corpus("hat", shape=(257,)),
+                                          1, 1.0, t_grid=ts),
+        lambda ts: certify_gaussian_suite(
+            build_corpus("hermite(1)", shape=(129,)), [(1, 1.0)], t_grid=ts),
+        lambda ts: certify_projection_suite(
+            build_corpus("x2d", shape=(17, 17)), 1, 1.0, t_grid=ts),
+        lambda ts: u_functional(build_corpus("hat", shape=(257,)), 1, 1.0,
+                                ts),
+        lambda ts: u_gamma_functional(
+            build_corpus("hermite(1)", shape=(129,)), 1, 1.0, ts),
+    ], ids=["lebesgue", "gaussian", "projection", "u", "u-gamma"])
+    def test_rejected(self, call, t_grid):
+        with pytest.raises(ValueError, match="t_grid must be|t must be"):
+            call(t_grid)
+
+    def test_u_gamma_sub_grid(self):
+        assert _u_gamma_grid(list(range(16))) == list(range(16))
+        assert _u_gamma_grid(list(range(17))) == [0, 4, 8, 12, 16]
+
+    def test_gaussian_suite_rejects_2d(self):
+        with pytest.raises(ValueError, match="certify_projection_suite"):
+            certify_gaussian_suite(build_corpus("x2d", shape=(17, 17)),
+                                   [(2, 0.5)])
+
+    def test_projection_suite_reads_its_grid(self):
+        # at alpha = 1/2 U_gamma peaks inside the grid, so the grid shows
+        f = build_corpus("x2d", shape=(33, 33))
+        u_value = {num: next(e for e in certify_projection_suite(
+            f, 2, 0.5, t_grid=default_t_grid(num))
+            if e.name == "projection-monotonicity").inputs["u_value"]
+            for num in (8, 16)}
+        assert u_value[8] == v_gamma_upper_bound(
+            f, 2, 0.5, default_t_grid(8))[1]["u_value"]
+        assert u_value[16] == v_gamma_upper_bound(f, 2, 0.5, None)[1][
+            "u_value"]
+        assert u_value[8] != u_value[16]
 
 
 class TestEmbedding:

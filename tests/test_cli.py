@@ -19,6 +19,7 @@ from besovlab import __version__, cli, heat, ou
 from besovlab.certify import (
     certify_gaussian_suite,
     certify_projection_suite,
+    v_gamma_upper_bound,
 )
 from besovlab.cli import (
     ConfigError,
@@ -272,6 +273,28 @@ class TestArtifacts:
         assert main(["certify", "corpus=hermite(2)", "shape1d=129",
                      "t_points=4", f"output_dir={tmp_path}"]) == 0
         assert calls == [((1.0, 1.0), (2.0, 0.5))]
+
+    def test_certify_projection_suite_reads_run_t_grid(self, tmp_path,
+                                                       monkeypatch):
+        # the run's t_points reach the projection suite, whose chain bound
+        # reads U_gamma over them (at alpha = 1/2 the grid shows in U_gamma)
+        grids = []
+
+        def recording(f, p, alpha, **kwargs):
+            grids.append(kwargs["t_grid"])
+            return certify_projection_suite(f, p, alpha, **kwargs)
+
+        monkeypatch.setattr(cli, "certify_projection_suite", recording)
+        assert main(["certify", "corpus=x2d", "shape2d=33", "t_points=8",
+                     "pairs=2:0.5", f"output_dir={tmp_path}"]) == 0
+        assert len(grids) == 1
+        assert np.array_equal(grids[0], heat.default_t_grid(8))
+        payload = json.loads((tmp_path / "certificates.json").read_text())
+        mono = next(e for e in payload["entries"]
+                    if e["name"] == "projection-monotonicity")
+        assert mono["inputs"]["u_value"] == v_gamma_upper_bound(
+            build_corpus("x2d", shape=(33, 33)), 2, 0.5,
+            heat.default_t_grid(8))[1]["u_value"]
 
     def test_seminorm_witness_search_once_per_function(self, tmp_path,
                                                        monkeypatch):

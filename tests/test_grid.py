@@ -39,6 +39,30 @@ def grid_1d(n=2049, lo=-8.0, hi=8.0, fn=None, measure="lebesgue"):
     return GridFunction(((lo, hi),), vals, measure)
 
 
+class TestGridFunctionRejects:
+    @pytest.mark.parametrize("bounds, samples, measure, match", [
+        (((-1.0, 1.0),), [0.0, np.nan, 1.0], "lebesgue", "finite"),
+        (((-1.0, 1.0),), [0.0, np.inf, 1.0], "gaussian", "finite"),
+        (((-1.0, 1.0),) * 3, np.zeros((3, 3, 3)), "lebesgue", "1D and 2D"),
+        (((-1.0, 1.0),) * 2, np.zeros(3), "lebesgue", "dimension mismatch"),
+        (((-1.0, 1.0),), np.zeros((3, 3)), "lebesgue", "dimension mismatch"),
+        (((-1.0, 1.0),), np.zeros(1), "lebesgue", "n >= 2"),
+        (((-1.0, 1.0), (-1.0, 1.0)), np.zeros((3, 1)), "lebesgue", "n >= 2"),
+        (((-np.inf, 1.0),), np.zeros(3), "lebesgue", "finite a < b"),
+        (((-1.0, np.nan),), np.zeros(3), "lebesgue", "finite a < b"),
+        (((1.0, -1.0),), np.zeros(3), "lebesgue", "finite a < b"),
+        (((1.0, 1.0),), np.zeros(3), "lebesgue", "finite a < b"),
+        (((-1.0, 1.0),), np.zeros(3), "uniform", "unknown measure tag"),
+    ])
+    def test_constructor_rejects(self, bounds, samples, measure, match):
+        with pytest.raises(ValueError, match=match):
+            GridFunction(bounds, samples, measure)
+
+    def test_with_samples_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            grid_1d(5).with_samples([0.0, 0.0, np.nan, 0.0, 0.0])
+
+
 class TestLpNorm:
     def test_zero_function(self):
         assert lp_norm(grid_1d(), 2) == 0.0

@@ -11,8 +11,9 @@ from scipy.special import erf
 from besovlab.corpus import build_corpus
 from besovlab.grid import (GridFunction, MeasureMismatchError, integrate,
                            lp_norm, write_csv)
-from besovlab.heat import (_axis_kernel, _convolve_axis, heat_apply,
-                           heat_gradient, heat_gradient_sum, u_functional)
+from besovlab.heat import (_axis_kernel, _convolve_axis, default_t_grid,
+                           heat_apply, heat_gradient, heat_gradient_sum,
+                           t_points, u_functional)
 from besovlab.seminorms import _semigroup_nodes
 
 
@@ -203,6 +204,15 @@ class TestUFunctional:
         for t_grid in ([1.0, 0.5], [0.5, 0.5], [0.0, 1.0], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="t must be"):
                 u_functional(bump(257), 2, 0.5, t_grid=t_grid)
+
+
+class TestTPoints:
+    def test_default_and_float_array(self):
+        # the rejections are tested through every entry point in
+        # test_certify.TestTGrid
+        assert np.array_equal(t_points(None), default_t_grid())
+        ts = t_points([1, 2])
+        assert ts.dtype == float and ts.tolist() == [1.0, 2.0]
 
 
 class TestSemigroupCurve:
