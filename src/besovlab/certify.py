@@ -5,6 +5,12 @@ functionals computed by the engines (shift seminorms, variational witnesses,
 semigroup functionals, Gaussian constants) on one target function and
 reports pass/fail entries with the margin and the slack used.
 
+The heat semigroup on R^n and the OU semigroup under gamma satisfy one
+theorem chain with one tag constant K (_tag_constant): sqrt(n) for heat, the
+dimension-free C(p) for OU.  Its shared half, the small-time gradient bound,
+U <= K_q^(1-alpha) V and V <= (4K/alpha + 1) U, is written once
+(_shared_chain); the Lebesgue and Gaussian suites add only their own entries.
+
 Direction discipline: left-hand sides are grid-computable quantities or
 certified lower bounds; right-hand sides are exact constants times grid
 quantities whose under-estimation is covered by the recorded slack.  Entries
@@ -27,13 +33,14 @@ from .grid import (
     ZERO_MEAN_TOLERANCE,
     GridFunction,
     center,
+    check_tag_exponent,
     coarsen,
     dual_exponent,
     json_text,
     lp_norm,
     require_tag,
 )
-from .heat import default_t_grid, gradient_supremum, t_points, u_functional
+from .heat import default_t_grid, gradient_supremum, t_points
 from .ou import (
     HermiteCoeffs,
     abs_moment,
@@ -140,12 +147,6 @@ def _inputs(f_name, p, alpha, **extra):
     return rec
 
 
-def _diff_norms(f, p, values):
-    """||f - S_t f||_p for each S_t f in values."""
-    return np.array([lp_norm(f.with_samples(f.samples - v.samples), p)
-                     for v in values])
-
-
 def _max_ratio(diffs, weights, t_grid):
     vals = diffs / weights
     k = int(np.argmax(vals))
@@ -160,104 +161,30 @@ def _u_gamma_grid(seq):
 
 
 # ---------------------------------------------------------------------------
-# Lebesgue suite
+# The shared theorem chain
 
 
-def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
-                           f_name="f", budget=None, seed=None):
-    """Two-sided variational bounds and heat small-time inequalities.
-
-    budget and seed are accepted and ignored: the witness search is
-    deterministic, and they stay only for callers written against the former
-    random-field search (the benchmark's lebesgue-2d workload passes them).
-    """
-    require_tag(f, LEBESGUE, "the Lebesgue suite")
-    t_grid = t_points(t_grid)
-    n = f.dim
-    fc = coarsen(f)
-
-    seminorm, eps_b, inf_b = _graded(
-        lambda g: (besov_seminorm(g, p, alpha).value,), f, fc)
-
-    witness = v_lower_bound(f, p, alpha)
-
-    u_val, _, _, eps_u, inf_u = _graded(
-        lambda g: u_functional(g, p, alpha, t_grid[::4]), f, fc)
-
-    c_up = heat_upper_constant(n, alpha)
-
-    entries = []
-    entries.append(make_entry(
-        "v-upper-arm",
-        "every variational quotient <= ((1+alpha)^-1 + 1) * seminorm in 1D, "
-        "(E|Z|^alpha + E|Z|^(1+alpha)) * seminorm in higher dimension",
-        lhs=witness.quotient, rhs=c_up * seminorm, slack=eps_b,
-        inputs=_inputs(f_name, p, alpha, constant=c_up,
-                       witness=witness.construction),
-        informative=inf_b))
-    entries.append(make_entry(
-        "v-lower-arm",
-        "2^(alpha-1) * seminorm <= witness quotient, the best of the "
-        "segment-integral and semigroup-integral constructions",
-        lhs=2.0 ** (alpha - 1.0) * seminorm, rhs=witness.quotient,
-        slack=WITNESS_SLACK,
-        inputs=_inputs(f_name, p, alpha, witness=witness.construction),
-        # both sides are grid lower bounds, so a shortfall only means the
-        # witness search fell short; evidence, never a refutation
-        informative=True))
-
-    c_alpha_n = abs_moment(alpha, n)
-    t_weights = t_grid ** (alpha / 2.0)
-    apply_fn = semigroup(f)[0]
-    ratio, t_star, eps_r, inf_r = _graded(lambda g: _max_ratio(_diff_norms(
-        g, p, (apply_fn(g, t) for t in t_grid)), t_weights, t_grid), f, fc)
-    entries.append(make_entry(
-        "heat-smoothing-curve",
-        "||f - P_t f||_p <= E|Z_n|^alpha * seminorm * t^(alpha/2) at every "
-        "grid t",
-        lhs=ratio, rhs=c_alpha_n * seminorm, slack=max(eps_b, eps_r),
-        inputs=_inputs(f_name, p, alpha, constant=c_alpha_n, t_star=t_star,
-                       t_points=len(t_grid)),
-        informative=inf_b or inf_r))
-    entries.append(make_entry(
-        "heat-small-time-gradient",
-        "||f - P_t f||_p <= (4/alpha) sqrt(n) * U * t^(alpha/2) at every "
-        "grid t",
-        lhs=ratio, rhs=4.0 / alpha * math.sqrt(n) * u_val,
-        slack=max(eps_u, eps_r),
-        inputs=_inputs(f_name, p, alpha, t_star=t_star),
-        informative=inf_u or inf_r))
-    entries.append(make_entry(
-        "u-le-v",
-        "U <= n^((1-alpha)/2) * V; both sides grid lower bounds, recorded "
-        "as evidence only",
-        lhs=u_val, rhs=n ** ((1.0 - alpha) / 2.0) * witness.quotient,
-        slack=SLACK_CAP,
-        inputs=_inputs(f_name, p, alpha), informative=True))
-    entries.append(make_entry(
-        "v-le-u",
-        "witness V <= (4 sqrt(n)/alpha + 1) * U",
-        lhs=witness.quotient,
-        rhs=(4.0 * math.sqrt(n) / alpha + 1.0) * u_val, slack=eps_u,
-        inputs=_inputs(f_name, p, alpha), informative=inf_u))
-    return entries
+def _tag_constant(f, p):
+    """K, the one constant of the theorem chain of f's measure tag: sqrt(n)
+    for the heat semigroup on R^n, C(p) = ||Z||_p for the OU semigroup under
+    gamma, which does not grow with the dimension and is infinite at
+    p = inf."""
+    if f.measure == LEBESGUE:
+        return math.sqrt(f.dim)
+    return math.inf if p == np.inf else cp_closed_form(p)
 
 
-# ---------------------------------------------------------------------------
-# Gaussian suite
+def _chain_bound(f, p, alpha, graded_u):
+    """The chain V <= (4K/alpha + 1) * U, from U as _graded returns it:
+    (value, argmax t, values, slack, informative).
 
-
-def _chain_bound(p, alpha, graded_u):
-    """The chain V <= (4 C(p)/alpha + 1) * U_gamma, from U_gamma as _graded
-    returns it: (value, argmax t, values, slack, informative).
-
-    The alternative constant 2 C(p) + 1 appearing in a restatement is
+    For OU the alternative constant 2 C(p) + 1 appearing in a restatement is
     smaller for alpha <= 1, so the weaker (larger) factor is used and
-    recorded.  Returns the bound, with U_gamma's slack folded in, and the
-    chain record.
+    recorded.  Returns the bound, with U's slack folded in, and the chain
+    record, which the Gaussian entries report.
     """
     u_val, _, _, eps_u, inf_u = graded_u
-    constant = 4.0 * cp_closed_form(p) / alpha + 1.0
+    constant = 4.0 * _tag_constant(f, p) / alpha + 1.0
     return constant * u_val * (1.0 + eps_u), {
         "constant": constant,
         "constant_rule": "4*C(p)/alpha + 1 (the larger of the two stated "
@@ -268,28 +195,180 @@ def _chain_bound(p, alpha, graded_u):
     }
 
 
+def _graded_u(grads, u_grid, p, alpha):
+    """U at (p, alpha) from the semigroup gradients over u_grid at f and at
+    coarsen(f), as _graded returns it."""
+    return _graded(lambda level: gradient_supremum(level, u_grid, p, alpha),
+                   *grads)
+
+
+#: entry name and statement of the three shared theorems, per measure tag:
+#: the small-time gradient bound, U <= K_q^(1-alpha) V and V <= (4K/alpha
+#: + 1) U
+_CHAIN_THEOREMS = {
+    LEBESGUE: (("heat-small-time-gradient", "||f - P_t f||_p <= (4/alpha) "
+                "sqrt(n) * U * t^(alpha/2) at every grid t"),
+               ("u-le-v", "U <= n^((1-alpha)/2) * V; both sides grid lower "
+                "bounds, recorded as evidence only"),
+               ("v-le-u", "witness V <= (4 sqrt(n)/alpha + 1) * U")),
+    GAUSSIAN: (("ou-small-time-gradient", "||f - T_t f||_p <= 4 C(p)/alpha "
+                "* U_gamma * t^(alpha/2) at every grid t"),
+               ("u-le-v-gamma", "U_gamma <= C(q)^(1-alpha) * V; both sides "
+                "grid lower bounds, evidence only"),
+               ("v-le-u-gamma", "witness V <= (4 C(p)/alpha + 1) * U_gamma "
+                "(valid for every p >= 1)")),
+}
+
+
+def _shared_chain(f, fc, pairs, t_grid, u_grid, step, f_name):
+    """The half of the theorem chain that the heat semigroup on R^n and the
+    OU semigroup under gamma share, for every (p, alpha) of pairs, in order.
+
+    step(g, t, gradient) is (S_t g, grad S_t g) for the semigroup S of f's
+    tag; grad S_t g is read, and need be computed, only where gradient is
+    true: at the t of u_grid, the suite's U sub-grid of t_grid.  One
+    v_lower_bounds call gives every witness; it runs first, so every pair
+    is checked before any semigroup work.  Then one sweep of step over
+    t_grid, on f and on fc = coarsen(f), streams ||g - S_t g||_p once per
+    distinct p and keeps grad S_t g over u_grid.
+
+    Returns those gradients, at f and at fc, and one row per pair: the
+    witness, U as _graded returns it, the chain bound of V and its record
+    (_chain_bound), the difference norms at f and at fc, the graded
+    t^(alpha/2) ratio (value, argmax t, slack, informative) and the pair's
+    entries of the three shared theorems (_CHAIN_THEOREMS), whose constants
+    read the tag constant K (_tag_constant).  U <= K_q^(1-alpha) V, at the
+    dual exponent q, is emitted only where K_q is finite.
+    """
+    witnesses = v_lower_bounds(f, pairs)
+    norms = {p: ([], []) for p, _ in pairs}
+    grads = ([], [])
+    for level, g in enumerate((f, fc)):
+        for t in t_grid:
+            on_u_grid = t in u_grid
+            value, grad = step(g, t, on_u_grid)
+            for p, out in norms.items():
+                out[level].append(lp_norm(
+                    g.with_samples(g.samples - value.samples), p))
+            if on_u_grid:
+                grads[level].append(grad)
+    small_time, u_le_v, v_le_u = _CHAIN_THEOREMS[f.measure]
+    rows = []
+    for (p, alpha), witness in zip(pairs, witnesses):
+        u_val, _, _, eps_u, inf_u = graded_u = _graded_u(grads, u_grid, p,
+                                                         alpha)
+        v_up, chain = _chain_bound(f, p, alpha, graded_u)
+        ratio, t_star, eps_r, inf_r = graded_ratio = _graded(
+            lambda d: _max_ratio(d, t_grid ** (alpha / 2.0), t_grid),
+            *norms[p])
+        entries = [make_entry(
+            *small_time, lhs=ratio,
+            rhs=4.0 * _tag_constant(f, p) / alpha * u_val,
+            slack=max(eps_u, eps_r),
+            inputs=_inputs(f_name, p, alpha, t_star=t_star),
+            informative=inf_u or inf_r)]
+        k_q = _tag_constant(f, dual_exponent(p))
+        if k_q != math.inf:
+            entries.append(make_entry(
+                *u_le_v, lhs=u_val,
+                rhs=k_q ** (1.0 - alpha) * witness.quotient, slack=SLACK_CAP,
+                inputs=_inputs(f_name, p, alpha), informative=True))
+        entries.append(make_entry(
+            *v_le_u, lhs=witness.quotient, rhs=chain["constant"] * u_val,
+            slack=eps_u, inputs=_inputs(f_name, p, alpha), informative=inf_u))
+        rows.append((witness, graded_u, v_up, norms[p], graded_ratio,
+                     entries))
+    return grads, rows
+
+
+# ---------------------------------------------------------------------------
+# Lebesgue suite
+
+
+def certify_lebesgue_suite(f: GridFunction, p, alpha, t_grid=None,
+                           f_name="f", budget=None, seed=None):
+    """The seminorm arms, the heat smoothing curve and the shared chain
+    (_shared_chain) of the heat semigroup P_t on R^n, with K = sqrt(n).
+
+    The chain sweeps heat_apply over t_grid (default_t_grid() for None) and
+    heat_gradient over every fourth t, both read through ou.semigroup; the
+    smoothing curve reuses the chain's t^(alpha/2) ratio.  budget and seed
+    are accepted and ignored: the witness search is deterministic, and they
+    stay only for callers written against the former random-field search
+    (the benchmark's lebesgue-2d workload passes them).
+    """
+    require_tag(f, LEBESGUE, "the Lebesgue suite")
+    t_grid = t_points(t_grid)
+    fc = coarsen(f)
+
+    seminorm, eps_b, inf_b = _graded(
+        lambda g: (besov_seminorm(g, p, alpha).value,), f, fc)
+
+    apply_fn, gradient = semigroup(f)[:2]
+    _, [(witness, _, _, _, (ratio, t_star, eps_r, inf_r), chain)] = \
+        _shared_chain(f, fc, [(p, alpha)], t_grid, t_grid[::4],
+                      lambda g, t, grad: (apply_fn(g, t), gradient(g, t)
+                                          if grad else None), f_name)
+
+    c_up = heat_upper_constant(f.dim, alpha)
+    c_alpha_n = abs_moment(alpha, f.dim)
+    return [make_entry(
+        "v-upper-arm",
+        "every variational quotient <= ((1+alpha)^-1 + 1) * seminorm in 1D, "
+        "(E|Z|^alpha + E|Z|^(1+alpha)) * seminorm in higher dimension",
+        lhs=witness.quotient, rhs=c_up * seminorm, slack=eps_b,
+        inputs=_inputs(f_name, p, alpha, constant=c_up,
+                       witness=witness.construction),
+        informative=inf_b), make_entry(
+        "v-lower-arm",
+        "2^(alpha-1) * seminorm <= witness quotient, the best of the "
+        "segment-integral and semigroup-integral constructions",
+        lhs=2.0 ** (alpha - 1.0) * seminorm, rhs=witness.quotient,
+        slack=WITNESS_SLACK,
+        inputs=_inputs(f_name, p, alpha, witness=witness.construction),
+        # both sides are grid lower bounds, so a shortfall only means the
+        # witness search fell short; evidence, never a refutation
+        informative=True), make_entry(
+        "heat-smoothing-curve",
+        "||f - P_t f||_p <= E|Z_n|^alpha * seminorm * t^(alpha/2) at every "
+        "grid t",
+        lhs=ratio, rhs=c_alpha_n * seminorm, slack=max(eps_b, eps_r),
+        inputs=_inputs(f_name, p, alpha, constant=c_alpha_n, t_star=t_star,
+                       t_points=len(t_grid)),
+        informative=inf_b or inf_r), *chain]
+
+
+# ---------------------------------------------------------------------------
+# Gaussian suite
+
+
 def v_gamma_upper_bound(f: GridFunction, p, alpha, t_grid):
     """Chain upper bound for the Gaussian variational functional, with
     U_gamma from u_gamma_functional on f and coarsen(f) over the U_gamma
     sub-grid of t_grid (see _chain_bound).  t_grid None stands for 16 points
-    of default_t_grid, since a 2D OU pass costs the most.
+    of default_t_grid, since a 2D OU pass costs the most.  Every check of
+    (p, alpha) runs before the first OU step: the p rule of the Gaussian tag
+    (grid.check_tag_exponent) here, grid.check_exponents in
+    gradient_supremum before it reads a gradient.
     """
+    check_tag_exponent(f, p)
     u_grid = _u_gamma_grid(t_points(default_t_grid(16) if t_grid is None
                                     else t_grid))
-    return _chain_bound(p, alpha, _graded(
+    return _chain_bound(f, p, alpha, _graded(
         lambda g: u_gamma_functional(g, p, alpha, u_grid), f, coarsen(f)))
 
 
 def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
-    """OU approximation, Poincare, chain bounds and the transport bound, for
-    every (p, alpha) of pairs, in order, on a 1D Gaussian-tagged f (a 2D
-    target goes to certify_projection_suite).
+    """The OU approximation curve, Poincare, the transport bound and the
+    shared chain (_shared_chain) of the OU semigroup T_t under gamma, with
+    K = C(p), for every (p, alpha) of pairs, in order, on a 1D
+    Gaussian-tagged f (a 2D target goes to certify_projection_suite).
 
     t_grid (default_t_grid() for None) is the grid of every t-curve entry.
     T_t f and grad T_t f do not depend on (p, alpha), so each is computed
-    once per call: one sweep of ou_step over the grid t, on f and on
-    coarsen(f), gives every ||g - T_t g||_p and every U_gamma of the
-    entries, at each p and at p = 1 for the transport entry, and one
+    once per call: the chain's one sweep of ou_step over the grid t, on f
+    and on coarsen(f), gives every ||g - T_t g||_p and every U_gamma of the
+    entries, at each p and at p = 1 for the transport entry, and its one
     v_lower_bounds call gives every witness.  U_gamma reads the sub-grid of
     _u_gamma_grid, as v_gamma_upper_bound does.  An f with nonzero mean has
     the centered f as its transport target, whose grad T_t at those t is
@@ -299,19 +378,10 @@ def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
     if f.dim != 1:
         raise ValueError("2D targets go to certify_projection_suite")
     t_grid = t_points(t_grid)
-    witnesses = v_lower_bounds(f, pairs)
     fc = coarsen(f)
-
     u_grid = _u_gamma_grid(t_grid)
-    sweeps = [[ou_step(g, t) for t in t_grid] for g in (f, fc)]
-    diffs = {p: [_diff_norms(g, p, [value for value, _ in sweep])
-                 for g, sweep in zip((f, fc), sweeps)]
-             for p in {p for p, _ in pairs}}
-    grads = [_u_gamma_grid([grad for _, grad in sweep]) for sweep in sweeps]
-
-    def graded_u(r, alpha, fields):
-        return _graded(lambda level: gradient_supremum(level, u_grid, r,
-                                                       alpha), *fields)
+    grads, rows = _shared_chain(f, fc, pairs, t_grid, u_grid,
+                                lambda g, t, _: ou_step(g, t), f_name)
 
     (mean, centered), (_, centered_c) = center(f), center(fc)
     target = centered if abs(mean) > ZERO_MEAN_TOLERANCE else f
@@ -320,14 +390,13 @@ def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
         [ou_step(g, t)[1] for t in u_grid] for g in (target, coarsen(target))]
 
     entries = []
-    for (p, alpha), witness in zip(pairs, witnesses):
+    for (p, alpha), (_, graded_u, v_up, diffs, _, chain) in zip(pairs, rows):
         cp = cp_closed_form(p)
-        u_val, _, _, eps_u, inf_u = u_p = graded_u(p, alpha, grads)
-        v_up, chain_p = _chain_bound(p, alpha, u_p)
+        eps_u, inf_u = graded_u[3:]
 
         ct_weights = ct_closed_form(t_grid) ** alpha
         ratio, t_star, eps_r, inf_r = _graded(
-            lambda d: _max_ratio(d, ct_weights, t_grid), *diffs[p])
+            lambda d: _max_ratio(d, ct_weights, t_grid), *diffs)
         entries.append(make_entry(
             "ou-approximation-curve",
             "||f - T_t f||_p <= 2^(1-alpha) C(p)^alpha c_t^alpha * V at "
@@ -349,38 +418,11 @@ def certify_gaussian_suite(f: GridFunction, pairs, t_grid=None, f_name="f"):
             slack=max(eps_u, eps_p),
             inputs=_inputs(f_name, p, alpha, mean=mean, v_upper=v_up),
             informative=inf_u or inf_p))
+        entries.extend(chain)
 
-        ratio_t, t_star2, eps_rt, inf_rt = _graded(
-            lambda d: _max_ratio(d, t_grid ** (alpha / 2.0), t_grid),
-            *diffs[p])
-        entries.append(make_entry(
-            "ou-small-time-gradient",
-            "||f - T_t f||_p <= 4 C(p)/alpha * U_gamma * t^(alpha/2) at "
-            "every grid t",
-            lhs=ratio_t, rhs=4.0 * cp / alpha * u_val,
-            slack=max(eps_u, eps_rt),
-            inputs=_inputs(f_name, p, alpha, t_star=t_star2),
-            informative=inf_u or inf_rt))
-
-        q = dual_exponent(p)
-        if q != np.inf:
-            entries.append(make_entry(
-                "u-le-v-gamma",
-                "U_gamma <= C(q)^(1-alpha) * V; both sides grid lower "
-                "bounds, evidence only",
-                lhs=u_val,
-                rhs=cp_closed_form(q) ** (1.0 - alpha) * witness.quotient,
-                slack=SLACK_CAP,
-                inputs=_inputs(f_name, p, alpha), informative=True))
-        entries.append(make_entry(
-            "v-le-u-gamma",
-            "witness V <= (4 C(p)/alpha + 1) * U_gamma (valid for every "
-            "p >= 1)",
-            lhs=witness.quotient, rhs=chain_p["constant"] * u_val,
-            slack=eps_u, inputs=_inputs(f_name, p, alpha), informative=inf_u))
-
-        v_up_1, chain_1 = _chain_bound(1, alpha,
-                                       graded_u(1, alpha, target_grads))
+        v_up_1, chain_1 = _chain_bound(f, 1, alpha,
+                                       _graded_u(target_grads, u_grid, 1,
+                                                 alpha))
         entries.append(make_entry(
             "transport-interpolation",
             "||f||_1 <= 3 V^(1/(1+alpha)) ||f||_K^(alpha/(1+alpha)), V "

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from besovlab import ou
+from besovlab import certify, heat, ou
 from besovlab.corpus import build_corpus
 from besovlab.certify import (
     CertificateEntry,
@@ -144,6 +144,30 @@ class TestLebesgueSuite:
         entries = certify_lebesgue_suite(build_corpus("hat"), 1, 0.5)
         byname = {e.name: e for e in entries}
         assert byname["u-le-v"].informative
+
+    @pytest.mark.parametrize("name, shape", [("hat", (257,)),
+                                             ("bump2d", (97, 97))])
+    def test_one_heat_sweep_per_grid_level(self, monkeypatch, name, shape):
+        # one v_lower_bounds call gives the witness, and grad P_t runs at
+        # every fourth of the 20 grid t (5) on f and on coarsen(f); the
+        # witnesses take no heat_gradient
+        witness_calls, gradient_calls = [], []
+
+        def counting_witnesses(f, pairs, _fn=certify.v_lower_bounds):
+            witness_calls.append(list(pairs))
+            return _fn(f, pairs)
+
+        def counting_gradient(f, t, _fn=heat.heat_gradient):
+            gradient_calls.append(t)
+            return _fn(f, t)
+
+        monkeypatch.setattr(certify, "v_lower_bounds", counting_witnesses)
+        monkeypatch.setattr(heat, "heat_gradient", counting_gradient)
+        t_grid = default_t_grid(20)
+        certify_lebesgue_suite(build_corpus(name, shape=shape), 2, 0.5,
+                               t_grid=t_grid)
+        assert witness_calls == [[(2, 0.5)]]
+        assert gradient_calls == [*t_grid[::4]] * 2
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +361,81 @@ class TestGaussianSuite:
         assert kantorovich_norm_1d(f) <= 2e-9
         assert kantorovich_norm_1d(f) == pytest.approx(f.dx[0] ** 2 * w0,
                                                        rel=1e-6)
+
+
+class TestSharedChain:
+    @pytest.mark.parametrize("suite, name, p, alpha", [
+        ("lebesgue", "hat", 1, 1.0),
+        ("lebesgue", "hat", 2, 0.5),
+        ("gaussian", "hermite(1)", 2, 0.5),
+    ])
+    def test_one_constant_for_both_semigroups(self, suite, name, p, alpha):
+        # at n = 1 both tag constants are 1: sqrt(1) for heat and
+        # C(2) = ||Z||_2 for OU, whose dual exponent is 2 as well; so
+        # U <= K_q^(1-alpha) V has V itself on the right, and the chain
+        # V <= (4K/alpha + 1) U has the constant 4/alpha + 1
+        assert cp_closed_form(2) == 1.0
+        f = build_corpus(name, shape=(257,))
+        t_grid = default_t_grid(4)
+        if suite == "lebesgue":
+            entries = certify_lebesgue_suite(f, p, alpha, t_grid=t_grid)
+            suffix = ""
+        else:
+            entries = certify_gaussian_suite(f, [(p, alpha)], t_grid=t_grid)
+            suffix = "-gamma"
+        byname = {e.name: e for e in entries}
+        u_le_v, v_le_u = byname["u-le-v" + suffix], byname["v-le-u" + suffix]
+        assert u_le_v.rhs == v_le_u.lhs
+        assert v_le_u.rhs / u_le_v.lhs == pytest.approx(4.0 / alpha + 1.0,
+                                                        rel=1e-15, abs=0.0)
+
+
+#: every entry point that sweeps a semigroup over a t grid, at one (p, alpha);
+#: the Gaussian suite's bad pair follows a good one
+REJECTING_CALLS = {
+    "lebesgue": lambda p, alpha: certify_lebesgue_suite(
+        build_corpus("hat", shape=(257,)), p, alpha,
+        t_grid=default_t_grid(16)),
+    "gaussian": lambda p, alpha: certify_gaussian_suite(
+        build_corpus("hermite(1)", shape=(129,)), [(2, 0.5), (p, alpha)],
+        t_grid=default_t_grid(16)),
+    "projection": lambda p, alpha: certify_projection_suite(
+        build_corpus("x2d", shape=(17, 17)), p, alpha),
+    "v-gamma-upper-bound": lambda p, alpha: v_gamma_upper_bound(
+        build_corpus("x2d", shape=(17, 17)), p, alpha, None),
+}
+
+
+class TestEarlyRejection:
+    """Each suite rejects a bad (p, alpha) before any semigroup work."""
+
+    @pytest.fixture
+    def semigroup_calls(self, monkeypatch):
+        # certify binds ou_step by name for the Gaussian sweep; ou_apply,
+        # ou_gradient and u_gamma_functional reach it through ou
+        calls = []
+        for module, name in ((heat, "heat_apply"), (heat, "heat_gradient"),
+                             (ou, "ou_step"), (certify, "ou_step")):
+            def counting(*args, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("suite, p, alpha", [
+        (suite, p, alpha) for suite in REJECTING_CALLS
+        for p, alpha in ((2, 0.0), (0.5, 0.5), (math.inf, 0.5))
+        # a Lebesgue target takes p = inf
+        if suite != "lebesgue" or p != math.inf])
+    def test_bad_pair_rejected_before_semigroup_work(
+            self, semigroup_calls, suite, p, alpha):
+        # p = inf fails the Gaussian tag's p rule, with its message, not
+        # the later C(p) = inf of cp_closed_form
+        match = "a Gaussian target's C" if p == math.inf else \
+            "p must be|alpha must"
+        with pytest.raises(ValueError, match=match):
+            REJECTING_CALLS[suite](p, alpha)
+        assert semigroup_calls == []
 
 
 class TestProjectionSuite:
